@@ -57,7 +57,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _digest(path: str) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _json_text(obj) -> str:
@@ -325,7 +326,7 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
             m = draw(stream)
             return eigenvalues(m).values, trace_power(m, 2)
 
-        results = replica_map(task, config.replicas, seed, workers=workers)
+        results = replica_map(task, config.replicas, seed)
         for k, (vals, t2) in enumerate(results):
             rows.append((k, vals))
             trace2.append(t2)
@@ -541,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True, help="JSON config file")
         cp.add_argument("--seed", type=int, default=None, help="master seed override")
-        cp.add_argument("--workers", type=int, default=None, help="worker count override")
+        cp.add_argument("--workers", type=int, default=None,
+                        help="worker processes for the checks free-energy integration")
         cp.add_argument("--out", default=None, help="output directory override")
     return parser
 

@@ -178,7 +178,7 @@ def _ti_node_task(args):
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
                                thin: int = 5, grid: Grid | None = None,
-                               fd_step: float = 1e-2, tol: float = 1e-8,
+                               fd_step: float | None = None, tol: float = 1e-8,
                                workers: int = 1) -> dict:
     """Thermodynamic integration against the pressure-derivative identity.
 
@@ -187,7 +187,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
          under the tilted potential alpha V (trapezoid over the alpha nodes,
          stderr from replica spread).
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) by central differences of
-         equilibrium free energies.
+         equilibrium free energies, step ``fd_step`` (default min(1e-2, P/10),
+         so the lower pressure stays positive).
     """
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
@@ -198,6 +199,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                 "min_ess": float("inf"), "reliable": True, "alphas": [], "node_means": []}
     if not w.is_polynomial:
         raise TypeError("thermodynamic integration needs a polynomial potential")
+    if fd_step is None:
+        fd_step = min(1e-2, p / 10.0)
 
     alphas = np.linspace(0.0, 1.0, n_alpha)
     tasks = []

@@ -3,8 +3,9 @@
 The central object is a symmetric tridiagonal matrix stored as its diagonal
 and off-diagonal sequences.  Periodic matrices carry one extra coupling in
 the (1, N) / (N, 1) corner, the last entry of ``offdiag``.  Storage is
-structure-of-sequences; a dense matrix is materialized only inside the
-periodic eigensolver.
+structure-of-sequences.  The periodic eigensolver never builds the dense
+matrix: it folds the cycle into a symmetric band of half-width 2 (see
+``eigenvalues``); ``to_dense`` exists for tests and oracles.
 
 Single symmetric entry-pair updates enter the Monte Carlo samplers through
 ``local_trace_delta``, which evaluates the change of Tr V(M) for polynomial V
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .potentials import Potential
 
@@ -70,9 +71,6 @@ class PeriodicJacobiMatrix:
     @property
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag)))
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.diag ** 2) + 2.0 * np.sum(self.offdiag ** 2)))
 
     def to_dense(self) -> np.ndarray:
         n = self.n
@@ -130,26 +128,41 @@ def _require_finite(m: PeriodicJacobiMatrix) -> None:
         raise InvalidMatrixError("matrix has non-finite entries")
 
 
-# Smaller requested tolerances than LAPACK can certify are rejected rather
-# than silently under-delivered.
-_EIG_TOL_FLOOR = 1e-14
+def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:
+    """Lower band storage (3 x N) of the periodic matrix in folded order.
+
+    Visiting the sites as 0, N-1, 1, N-2, 2, ... places every neighbour of the
+    cycle, the corner bond (N-1, 0) included, at most two positions away, so
+    the permuted matrix is a symmetric band of half-width 2.  Row r, column c
+    holds the permuted entry (c + r, c).
+    """
+    n = m.n
+    perm = np.empty(n, dtype=np.intp)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    ab = np.zeros((3, n))
+    ab[0] = m.diag[perm]
+    # bond i couples sites i and i + 1 (mod N) with weight offdiag[i]
+    nxt = np.roll(inv, -1)
+    ab[np.abs(inv - nxt), np.minimum(inv, nxt)] = m.offdiag
+    return ab
 
 
-def eigenvalues(m: PeriodicJacobiMatrix, tol: float = 1e-12) -> EmpiricalSpectralMeasure:
+def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     """All eigenvalues, ascending.
 
-    The residual of each returned pair is below ``tol * (1 + ||M||_F)``.
     Plain tridiagonal matrices go through the LAPACK implicit-shift
-    symmetric-tridiagonal path; periodic matrices are densified, the corner
-    breaks the banded structure.
+    symmetric-tridiagonal path.  Periodic matrices are folded into a
+    symmetric band of half-width 2 (``_folded_band``) and solved by LAPACK
+    band reduction, O(N^2) for eigenvalues only; the permutation is a
+    similarity, so the spectrum is unchanged.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if tol < _EIG_TOL_FLOOR:
-        raise ValueError(f"tol below achievable accuracy {_EIG_TOL_FLOOR:g}")
     _require_finite(m)
     if m.periodic:
-        vals = np.linalg.eigvalsh(m.to_dense())
+        vals = eig_banded(_folded_band(m), lower=True, eigvals_only=True,
+                          overwrite_a_band=True, check_finite=False)
     else:
         vals = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
     return EmpiricalSpectralMeasure(vals)

@@ -2,8 +2,8 @@
 
 All randomness flows through :class:`SeededStream`: a (master_seed, stream_id)
 pair that deterministically spawns an independent generator.  Every sampler is
-a pure function of its stream and parameters, so replicas parallelize over
-stream ids with bit-identical results regardless of scheduling.
+a pure function of its stream and parameters, so a replica's result depends
+only on its stream id.
 
 Entry laws.  Under the quadratic-confinement ensemble with pressure P the
 matrix entries are independent: diagonal entries standard normal, off-diagonal
@@ -21,12 +21,12 @@ a local window for polynomial V.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import PeriodicJacobiMatrix, _delta_from_window, _window_indices, trace_potential
+from .matrices import (PeriodicJacobiMatrix, _delta_from_window, _window_indices, eigenvalues,
+                       trace_potential)
 from .potentials import Potential
 
 # Underflow guard: chi draws with tiny degrees of freedom concentrate below
@@ -47,9 +47,6 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
-
-    def child(self, offset: int) -> "SeededStream":
-        return SeededStream(self.master_seed, self.stream_id + offset)
 
 
 @dataclass(frozen=True)
@@ -290,8 +287,8 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
 
 
 def _full_trace_v(diag, off, v: Potential) -> float:
-    m = PeriodicJacobiMatrix(diag, off, periodic=True)
-    return float(m.n * trace_potential(m, v, method="eigen"))
+    """Tr V(M) summed over the spectrum of the periodic matrix (diag, off)."""
+    return float(np.sum(v(eigenvalues(PeriodicJacobiMatrix(diag, off, periodic=True)).values)))
 
 
 def _local_delta(diag, off, n, site, kind, new_value, coeffs, deg, periodic=True) -> float:
@@ -309,10 +306,9 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
         coeffs = v.coeffs
         deg = v.degree
         local_ok = _window_indices(n, True, 0, 1, deg) is not None
-        trv = float(np.sum(v(_spectrum(diag, off))))
     else:
         coeffs, deg, local_ok = None, None, False
-        trv = _full_trace_v(diag, off, v)
+    trv = _full_trace_v(diag, off, v)
 
     scale_a, scale_b = float(proposal_scales[0]), float(proposal_scales[1])
     accepted = {"diag": 0, "offdiag": 0}
@@ -397,7 +393,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
 
         # rounding drift guard for the running trace
         if polynomial and (sweep % 500 == 499):
-            trv = float(np.sum(v(_spectrum(diag, off))))
+            trv = _full_trace_v(diag, off, v)
         t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
         tv_series.append(trv / n)
         if (sweep - burn) % thin == 0:
@@ -421,20 +417,11 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
     )
 
 
-def _spectrum(diag, off) -> np.ndarray:
-    m = PeriodicJacobiMatrix(diag, off, periodic=True)
-    return np.linalg.eigvalsh(m.to_dense())
-
-
 def replica_map(fn, replicas: int, master_seed: int, workers: int = 1,
                 stream_offset: int = 0) -> list:
-    """Run fn(stream) for stream ids offset..offset+replicas-1, in id order.
+    """Run fn(stream) for stream ids offset..offset+replicas-1, serially in id order.
 
-    Results are ordered by stream id, so the aggregate is independent of the
-    worker count.
+    ``workers`` is ignored and stays only for callers that pass it: the
+    LAPACK wrappers hold the GIL, so threads give no speed-up.
     """
-    streams = [SeededStream(master_seed, stream_offset + i) for i in range(replicas)]
-    if workers <= 1:
-        return [fn(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, streams))
+    return [fn(SeededStream(master_seed, stream_offset + i)) for i in range(replicas)]

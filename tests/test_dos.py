@@ -120,6 +120,13 @@ def test_free_energy_node_doubling_within_stderr():
     assert abs(a["lhs"] - b["lhs"]) <= math.hypot(a["stderr"], b["stderr"]) * 1.5
 
 
+def test_free_energy_check_small_pressure_default_step():
+    # the default finite-difference step shrinks with P, so P - step stays positive
+    v = Potential.polynomial([0, 0, 0, 0, 0.02])
+    rep = free_energy_relation_check(0.005, v, n=20, mc_sweeps=10, seed=3, replicas=2)
+    assert np.isfinite(rep["rhs"]) and np.isfinite(rep["lhs"])
+
+
 def test_free_energy_check_validation():
     with pytest.raises(ValueError):
         free_energy_relation_check(1.0, W0, n=50, mc_sweeps=10, n_alpha=4)

@@ -69,12 +69,27 @@ def test_periodic_vs_characteristic_polynomial_oracle():
     assert np.max(np.abs(ev - oracle)) <= 1e-10
 
 
-def test_tol_validation():
-    m = PeriodicJacobiMatrix([0.0, 0.0], [1.0], periodic=False)
-    with pytest.raises(ValueError):
-        eigenvalues(m, tol=0.0)
-    with pytest.raises(ValueError):
-        eigenvalues(m, tol=1e-20)
+def _assert_matches_dense(m):
+    ev = eigenvalues(m).values
+    dense = m.to_dense()
+    bound = 1e-12 * (1.0 + np.linalg.norm(dense, 2))
+    assert np.max(np.abs(ev - np.linalg.eigvalsh(dense))) <= bound
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 200])
+def test_periodic_fold_matches_dense(n):
+    # the folded band differs between odd and even N; N = 3 is the smallest cycle
+    rng = np.random.default_rng(100 + n)
+    _assert_matches_dense(random_matrix(rng, n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 200])
+def test_periodic_fold_tiny_corner_and_zero_diagonal(n):
+    rng = np.random.default_rng(200 + n)
+    off = rng.standard_normal(n) ** 2 + 0.1
+    off[-1] = 1e-300  # chi floor in the corner: the cycle is nearly open
+    _assert_matches_dense(PeriodicJacobiMatrix(rng.standard_normal(n), off))
+    _assert_matches_dense(PeriodicJacobiMatrix(np.zeros(n), rng.uniform(0.1, 2.0, n)))
 
 
 # -- traces ------------------------------------------------------------------

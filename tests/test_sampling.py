@@ -158,11 +158,13 @@ def test_entry_laws_sub_gaussian():
         assert abs(first - second) <= 6.0 * np.std(e) / math.sqrt(10000)
 
 
-def test_replica_map_order_independent_of_workers():
-    fn = lambda stream: float(sample_toda_matrix(stream, 100, 1.0).diag[0])
-    serial = replica_map(fn, 6, 123, workers=1)
-    threaded = replica_map(fn, 6, 123, workers=3)
-    assert serial == threaded
+def test_replica_map_stream_order_and_determinism():
+    fn = lambda stream: (stream.stream_id, float(sample_toda_matrix(stream, 100, 1.0).diag[0]))
+    first = replica_map(fn, 6, 123, stream_offset=4)
+    assert [sid for sid, _ in first] == list(range(4, 10))
+    assert first == replica_map(fn, 6, 123, stream_offset=4)
+    assert first == [fn(SeededStream(123, sid)) for sid in range(4, 10)]
+    assert len({x for _, x in first}) == 6
 
 
 # -- Metropolis chain -----------------------------------------------------------
