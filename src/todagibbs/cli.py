@@ -7,7 +7,9 @@ runs.  Each run reads one JSON config file, applies the common flag overrides
 manifest with the resolved config and per-file SHA-256 digests.  Reruns with
 the same config and seed produce identical digests regardless of worker count.
 
-Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  Config
+values are validated up front; any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -33,8 +36,8 @@ from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
 from .matrices import EmpiricalSpectralMeasure, dump_matrix, eigenvalues, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
 from .potentials import NonConfiningError, Potential, PotentialDomainError
-from .sampling import (SeededStream, VarianceProfile, mcmc_toda, replica_map,
-                       sample_beta_matrix, sample_profile_matrix,
+from .sampling import (_TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
+                       replica_map, sample_beta_matrix, sample_profile_matrix,
                        sample_toda_matrix)
 
 
@@ -80,14 +83,39 @@ def _run_context(cfg: dict, seed: int) -> dict:
     return {"config": cfg, "master_seed": seed}
 
 
-def _positive_int(cfg: dict, key: str, default=None) -> int:
-    raw = cfg.get(key, default)
-    if raw is None:
+def _value(cfg: dict, key: str, default, cast, ok, need: str):
+    """cfg[key], or ``default`` when absent, converted by ``cast`` and checked by ``ok``."""
+    if key not in cfg and default is None:
         raise ConfigError(f"config missing required key {key!r}")
-    value = int(raw)
-    if value <= 0:
-        raise ConfigError(f"{key} must be a positive integer, got {raw}")
+    raw = cfg.get(key, default)
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {need}, got {raw!r}") from None
+    if not ok(value):
+        raise ConfigError(f"{key} must be {need}, got {raw!r}")
     return value
+
+
+def _positive(v) -> bool:
+    return 0 < v < math.inf
+
+
+def _positive_int(cfg: dict, key: str, default=None, minimum: int = 1) -> int:
+    return _value(cfg, key, default, int, lambda v: v >= minimum,
+                  "a positive integer" if minimum == 1 else f"an integer >= {minimum}")
+
+
+def _positive_float(cfg: dict, key: str, default=None) -> float:
+    return _value(cfg, key, default, float, _positive, "a positive number")
+
+
+def _profile_from_config(cfg: dict) -> VarianceProfile:
+    raw = _require(cfg, "profile")
+    try:
+        return VarianceProfile(tuple(raw))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid profile: {exc}") from exc
 
 
 def _potential_from_config(cfg: dict) -> Potential:
@@ -100,14 +128,13 @@ def _potential_from_config(cfg: dict) -> Potential:
 
 def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
     gspec = cfg.get("grid", {})
-    m = int(gspec.get("m", 2000))
-    half = gspec.get("half_width", "auto")
-    if half == "auto":
-        half = domain_auto(p, w)
-    try:
-        return Grid(float(half), m)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid spec: {exc}") from exc
+    if not isinstance(gspec, dict):
+        raise ConfigError(f"grid must be an object, got {gspec!r}")
+    m = _positive_int(gspec, "m", 2000, minimum=16)
+    if gspec.get("half_width", "auto") == "auto":
+        return Grid(domain_auto(p, w), m)
+    return Grid(_value(gspec, "half_width", None, float, _positive,
+                       "a positive number or 'auto'"), m)
 
 
 # -- experiment configs ------------------------------------------------------
@@ -135,26 +162,30 @@ class SampleConfig:
         source = _require(cfg, "source")
         if source not in ("toda", "beta", "profile", "mcmc"):
             raise ConfigError(f"unknown sample source {source!r}")
-        n = _positive_int(cfg, "n")
+        # beta matrices are plain tridiagonal; the others are periodic
+        n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
         p = replicas = sweeps = None
         profile = None
         if source == "profile":
-            try:
-                profile = VarianceProfile(tuple(_require(cfg, "profile")))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            profile = _profile_from_config(cfg)
         else:
-            p = float(_require(cfg, "p"))
-            if p <= 0:
-                raise ConfigError("p must be positive")
+            p = _positive_float(cfg, "p")
+        potential = _potential_from_config(cfg)
         if source == "mcmc":
             sweeps = _positive_int(cfg, "sweeps")
+            if potential.is_tabulated and n > _TABULATED_MCMC_MAX_N:
+                raise ConfigError(f"mcmc with a tabulated potential needs n <= "
+                                  f"{_TABULATED_MCMC_MAX_N}, got {n}")
         else:
             replicas = _positive_int(cfg, "replicas")
+        scales = _value(cfg, "proposal_scales", (0.5, 0.5),
+                        lambda raw: tuple(float(x) for x in raw),
+                        lambda t: len(t) == 2 and all(_positive(x) for x in t),
+                        "two positive numbers")
         return cls(raw=cfg, source=source, n=n, p=p, replicas=replicas,
-                   profile=profile, potential=_potential_from_config(cfg),
+                   profile=profile, potential=potential,
                    sweeps=sweeps, thin=_positive_int(cfg, "thin", 1),
-                   proposal_scales=tuple(cfg.get("proposal_scales", (0.5, 0.5))),
+                   proposal_scales=scales,
                    dump_samples=bool(cfg.get("dump_samples", False)))
 
 
@@ -170,15 +201,16 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SolveConfig":
-        p = float(_require(cfg, "p"))
-        if p < 0:
-            raise ConfigError("p must be nonnegative")
+        p = _value(cfg, "p", None, float, lambda v: 0 <= v < math.inf,
+                   "a nonnegative number")
         w = _potential_from_config(cfg)
         return cls(raw=cfg, p=p, potential=w,
                    grid=_grid_from_config(cfg, max(p, 0.5), w),
-                   theta0=float(cfg.get("theta0", 0.5)),
-                   tol=float(cfg.get("tol", 1e-8)),
-                   max_iter=int(cfg.get("max_iter", 10000)))
+                   theta0=_value(cfg, "theta0", 0.5, float, lambda v: 0 < v <= 1,
+                                 "a number in (0, 1]"),
+                   tol=_positive_float(cfg, "tol", 1e-8),
+                   max_iter=_value(cfg, "max_iter", 10000, int, lambda v: v >= 0,
+                                   "a nonnegative integer"))
 
 
 @dataclass(frozen=True)
@@ -195,23 +227,19 @@ class DosConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "DosConfig":
         w = _potential_from_config(cfg)
-        p = profile = None
+        p = profile = h_p = None
         if "profile" in cfg:
-            try:
-                profile = VarianceProfile(tuple(cfg["profile"]))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            profile = _profile_from_config(cfg)
             grid = _grid_from_config(cfg, profile.maximum + 0.5, w)
         else:
-            p = float(_require(cfg, "p"))
-            if p <= 0:
-                raise ConfigError("p must be positive")
+            p = _positive_float(cfg, "p")
             grid = _grid_from_config(cfg, p + 0.5, w)
-        h_p = cfg.get("h_p")
+            if cfg.get("h_p") is not None:
+                h_p = _value(cfg, "h_p", None, float, lambda v: 0 < v < p / 2,
+                             f"a number in (0, p/2) = (0, {p / 2:g})")
         return cls(raw=cfg, potential=w, grid=grid, p=p, profile=profile,
-                   n_nodes=_positive_int(cfg, "n_nodes", 15),
-                   h_p=float(h_p) if h_p is not None else None,
-                   tol=float(cfg.get("tol", 1e-8)))
+                   n_nodes=_positive_int(cfg, "n_nodes", 15, minimum=5),
+                   h_p=h_p, tol=_positive_float(cfg, "tol", 1e-8))
 
 
 @dataclass(frozen=True)
@@ -223,10 +251,13 @@ class CompareConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "CompareConfig":
-        bw = cfg.get("bandwidth")
+        bw = _positive_float(cfg, "bandwidth") if cfg.get("bandwidth") else None
         return cls(raw=cfg, eigenvalues_csv=str(_require(cfg, "eigenvalues_csv")),
                    density_csv=str(_require(cfg, "density_csv")),
-                   bandwidth=float(bw) if bw else None)
+                   bandwidth=bw)
+
+
+CHECK_NAMES = ("beta_mixture", "free_energy", "nu_density", "d_lipschitz", "fc_convexity")
 
 
 @dataclass(frozen=True)
@@ -244,20 +275,21 @@ class ChecksConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ChecksConfig":
-        p = float(cfg.get("p", 1.0))
-        if p <= 0:
-            raise ConfigError("p must be positive")
+        p = _positive_float(cfg, "p", 1.0)
         w = _potential_from_config(cfg)
+        which = _value(cfg, "checks", CHECK_NAMES, tuple,
+                       lambda names: all(name in CHECK_NAMES for name in names),
+                       f"a list of check names from {', '.join(CHECK_NAMES)}")
+        if "free_energy" in which and w.is_tabulated:
+            raise ConfigError("the free_energy check needs a polynomial potential")
         return cls(raw=cfg, p=p, potential=w,
                    grid=_grid_from_config(cfg, p + 0.5, w),
-                   which=tuple(cfg.get("checks", ("beta_mixture", "free_energy",
-                                                  "nu_density", "d_lipschitz",
-                                                  "fc_convexity"))),
-                   n_nodes=int(cfg.get("n_nodes", 21)),
-                   mixture_tol=float(cfg.get("mixture_tol", 1e-2)),
-                   n=_positive_int(cfg, "n", 200),
+                   which=which,
+                   n_nodes=_positive_int(cfg, "n_nodes", 21, minimum=5),
+                   mixture_tol=_positive_float(cfg, "mixture_tol", 1e-2),
+                   n=_positive_int(cfg, "n", 200, minimum=3),
                    sweeps=_positive_int(cfg, "sweeps", 500),
-                   tol=float(cfg.get("tol", 1e-8)))
+                   tol=_positive_float(cfg, "tol", 1e-8))
 
 
 class RunManifest:
@@ -295,13 +327,10 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     extra: dict = {}
 
     if config.source == "mcmc":
-        try:
-            report = mcmc_toda(SeededStream(seed, 0), config.n, config.p,
-                               config.potential, sweeps=config.sweeps,
-                               thin=config.thin,
-                               proposal_scales=config.proposal_scales)
-        except (ValueError, NonConfiningError) as exc:
-            raise ConfigError(str(exc)) from exc
+        report = mcmc_toda(SeededStream(seed, 0), config.n, config.p,
+                           config.potential, sweeps=config.sweeps,
+                           thin=config.thin,
+                           proposal_scales=config.proposal_scales)
         for k, sample in enumerate(report.samples):
             rows.append((k, eigenvalues(sample).values))
             trace2.append(trace_power(sample, 2))
@@ -423,12 +452,12 @@ def _load_empirical_csv(path: str):
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-    except OSError as exc:
+        if header == "x,rho":
+            return GridDensity.from_csv(path)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return EmpiricalSpectralMeasure(data[:, 1])
+    except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot read empirical CSV: {exc}") from exc
-    if header == "x,rho":
-        return GridDensity.from_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return EmpiricalSpectralMeasure(data[:, 1])
 
 
 def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
@@ -436,7 +465,7 @@ def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     empirical_input = _load_empirical_csv(config.eigenvalues_csv)
     try:
         density = GridDensity.from_csv(config.density_csv)
-    except OSError as exc:
+    except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot read density CSV: {exc}") from exc
     manifest = RunManifest(out_dir, "compare", cfg, seed, workers)
     grid = density.grid
@@ -557,15 +586,19 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or encoding
         print(f"error: config={args.config} reason={exc}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    workers = args.workers if args.workers is not None else int(
-        cfg.get("workers", os.cpu_count() or 1))
-    out_dir = args.out if args.out is not None else cfg.get("out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    # any other exception is a bug and keeps its traceback
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        seed = args.seed if args.seed is not None else _value(
+            cfg, "seed", 0, int, lambda v: True, "an integer")
+        workers = args.workers if args.workers is not None else _value(
+            cfg, "workers", os.cpu_count() or 1, int, lambda v: True, "an integer")
+        out_dir = args.out if args.out is not None else str(cfg.get("out", "."))
+        os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg, seed, workers, out_dir)
     except (ConfigError, PotentialDomainError, NonConfiningError,
             DomainTooSmallError) as exc:
@@ -574,10 +607,6 @@ def main(argv=None) -> int:
     except (NonConvergenceExit, NonConvergedError, DosStepError) as exc:
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # parameter validation raised inside the library
-        print(f"error: command={args.command} reason={exc}", file=sys.stderr)
-        return 1
 
 
 def script_entry() -> None:

@@ -33,7 +33,7 @@ from .equilibrium import (EquilibriumSolution, Grid, GridDensity, LogKernel,
 from .matrices import trace_potential
 from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
-from .sampling import SeededStream, VarianceProfile, mcmc_toda
+from .sampling import SeededStream, mcmc_toda
 
 logger = logging.getLogger(__name__)
 
@@ -95,22 +95,19 @@ def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
                      lower=lower, upper=upper)
 
 
-def _gauss_legendre_01(n_nodes: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def mixture_over_profile(profile: VarianceProfile, w: Potential, grid: Grid,
-                         n_nodes: int, tol: float = 1e-8,
+def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int, tol: float = 1e-8,
                          kernel: LogKernel | None = None) -> GridDensity:
-    """nu_sigma = int_0^1 nu_{sigma(P)} dP by Gauss-Legendre quadrature."""
+    """nu_sigma = int_0^1 nu_{sigma(s)} ds by Gauss-Legendre quadrature.
+
+    ``profile`` maps s in [0, 1] to a pressure, e.g. a ``VarianceProfile``.
+    """
     if n_nodes < 5:
         raise ValueError("need at least 5 quadrature nodes")
     if kernel is None:
         kernel = build_log_kernel(grid)
-    nodes, weights = _gauss_legendre_01(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     mix = np.zeros(grid.m)
-    for s, wt in zip(nodes, weights):
+    for s, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
         result = dos_from_equilibrium(float(profile(s)), w, grid, tol=tol, kernel=kernel)
         mix += wt * result.nu.values
     return GridDensity.from_unnormalized(grid, mix)
@@ -124,17 +121,10 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
     Quadrature nodes below s_min are clamped there; the solver conditioning
     degrades toward P = 0 where both sides approach exp(-W)/Z anyway.
     """
-    if n_nodes < 5:
-        raise ValueError("need at least 5 quadrature nodes")
     if kernel is None:
         kernel = build_log_kernel(grid)
-    nodes, weights = _gauss_legendre_01(n_nodes)
-    mix = np.zeros(grid.m)
-    for s, wt in zip(nodes, weights):
-        s_eff = max(float(s), s_min)
-        result = dos_from_equilibrium(s_eff * p, w, grid, tol=tol, kernel=kernel)
-        mix += wt * result.nu.values
-    mixture = GridDensity.from_unnormalized(grid, mix)
+    mixture = mixture_over_profile(lambda s: max(float(s), s_min) * p, w, grid, n_nodes,
+                                   tol=tol, kernel=kernel)
     mu = solve_equilibrium(p, w, grid, tol=tol, kernel=kernel, raise_on_failure=True).density
     gap = ks_distance(mixture, mu)
     return {
@@ -171,7 +161,7 @@ def _ti_node_task(args):
     tilted = v.scaled(alpha)
     report = mcmc_toda(SeededStream(seed, stream_id), n, p, tilted,
                        sweeps=sweeps, thin=thin)
-    vals = [trace_potential(m, v, method="eigen") for m in report.samples]
+    vals = [trace_potential(m, v) for m in report.samples]
     return float(np.mean(vals)), float(report.ess), report.acceptance
 
 

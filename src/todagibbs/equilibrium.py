@@ -223,13 +223,8 @@ class EquilibriumSolution:
 def free_energy(rho: GridDensity, p: float, w: Potential, kernel: LogKernel) -> float:
     """Discrete free-energy functional (potential - P log-energy + entropy)."""
     vals = rho.values
-    h = rho.grid.h
-    wx = w.confinement(rho.grid.x)
-    pot = float(np.sum(wx * vals) * h)
-    log_energy = kernel.quadratic_form(vals)
-    mask = vals > DENSITY_FLOOR
-    entropy = float(np.sum(vals[mask] * np.log(vals[mask])) * h)
-    return pot - p * log_energy + entropy
+    return _free_energy_parts(w.confinement(rho.grid.x), kernel.log_potential(vals), vals,
+                              p, rho.grid.h)
 
 
 def _normalized_exp(log_values: np.ndarray, h: float) -> np.ndarray:
@@ -322,7 +317,7 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
 
 
 def _free_energy_parts(wx, phi, rho, p, h) -> float:
-    # same functional as free_energy(), reusing the precomputed log-potential
+    """The free-energy functional of cell values rho, given W (wx) and U_rho (phi)."""
     pot = float(np.sum(wx * rho) * h)
     log_energy = float(np.sum(phi * rho) * h)
     mask = rho > DENSITY_FLOOR

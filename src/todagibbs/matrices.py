@@ -7,11 +7,14 @@ structure-of-sequences.  The periodic eigensolver never builds the dense
 matrix: it folds the cycle into a symmetric band of half-width 2 (see
 ``eigenvalues``); ``to_dense`` exists for tests and oracles.
 
-Single symmetric entry-pair updates enter the Monte Carlo samplers through
-``local_trace_delta``, which evaluates the change of Tr V(M) for polynomial V
-from a small window around the modified site.  The window trick is exact:
-(M^m)_{jj} is a sum over closed length-m walks at j, and a walk of length m
-never leaves the cyclic arc of radius m around its base point.
+Traces also avoid the dense matrix.  (M^k)_{jj} is a sum over closed
+length-k walks at j, so ``_power_traces`` gets every Tr M^k, k <= kmax, from
+the walk weights on the cycle lifted to Z in O(N kmax^2); ``trace_power`` and
+``trace_potential`` for polynomial V use it.  A walk of length k never leaves
+the cyclic arc of radius k around its base point, so the change of Tr V(M)
+under one symmetric entry-pair update (``local_trace_delta``, and the
+Metropolis chain's moves) is exact from a small dense window around the
+modified site.
 """
 
 from __future__ import annotations
@@ -168,62 +171,55 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     return EmpiricalSpectralMeasure(vals)
 
 
-def _banded_matmul(m: PeriodicJacobiMatrix, x: np.ndarray) -> np.ndarray:
-    """M @ x using only the stored bands."""
+def _power_traces(m: PeriodicJacobiMatrix, kmax: int) -> np.ndarray:
+    """Tr M^k for k = 0..kmax, exact for every N.
+
+    Row i of ``walks`` holds the weights of the length-k walks from i to
+    i + d on the cycle lifted to Z, d = -kmax..kmax; a walk closes on the
+    cycle exactly when d is a multiple of N.  One more step multiplies by
+    the diagonal entry at i + d or moves d by one across the bond it meets.
+    A plain tridiagonal matrix is the cycle with the closing bond set to 0.
+    O(N kmax^2) time and O(N kmax) memory.
+    """
     n = m.n
-    y = m.diag[:, None] * x
-    band = m.offdiag[: n - 1, None]
-    y[:-1] += band * x[1:]
-    y[1:] += band * x[:-1]
-    if m.periodic:
-        c = m.offdiag[n - 1]
-        y[0] += c * x[n - 1]
-        y[n - 1] += c * x[0]
-    return y
+    bonds = m.offdiag if m.periodic else np.append(m.offdiag, 0.0)
+    offsets = np.arange(-kmax, kmax + 1)
+    sites = (np.arange(n)[:, None] + offsets) % n
+    a, b = m.diag[sites], bonds[sites]  # b[:, c] couples i + d_c and i + d_c + 1
+    closed = offsets % n == 0
+    walks = np.zeros((n, offsets.size))
+    walks[:, kmax] = 1.0
+    traces = np.empty(kmax + 1)
+    traces[0] = n
+    for k in range(1, kmax + 1):
+        step = walks * a
+        step[:, 1:] += walks[:, :-1] * b[:, :-1]
+        step[:, :-1] += walks[:, 1:] * b[:, :-1]
+        walks = step
+        traces[k] = walks[:, closed].sum()
+    return traces
 
 
 def trace_power(m: PeriodicJacobiMatrix, power: int) -> float:
-    """(1/N) Tr(M^power).
-
-    ``power`` 1 and 2 use exact entry formulas; higher powers use repeated
-    banded products against the identity.
-    """
+    """(1/N) Tr(M^power), from the closed walks of ``_power_traces``."""
     if power < 1:
         raise ValueError("power must be >= 1")
     _require_finite(m)
-    n = m.n
-    if power == 1:
-        return float(np.mean(m.diag))
-    if power == 2:
-        # offdiag stores exactly the entries in use, corner included iff periodic
-        return float((np.sum(m.diag ** 2) + 2.0 * np.sum(m.offdiag ** 2)) / n)
-    acc = np.eye(n)
-    for _ in range(power):
-        acc = _banded_matmul(m, acc)
-    return float(np.trace(acc) / n)
+    return float(_power_traces(m, power)[power] / m.n)
 
 
-def trace_potential(m: PeriodicJacobiMatrix, v: Potential, method: str = "eigen") -> float:
+def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
     """(1/N) Tr V(M).
 
-    ``method='eigen'`` sums V over the spectrum; ``method='power'`` is the
-    eigenvalue-free route through monomial traces, available for polynomial V.
+    Polynomial V is summed against the power traces Tr M^k with no
+    eigensolve; tabulated V is evaluated on the spectrum.
     """
     _require_finite(m)
-    if method == "eigen":
-        es = eigenvalues(m)
-        return float(np.mean(v(es.values)))
-    if method == "power":
-        if not v.is_polynomial:
-            raise TypeError("power method needs a polynomial potential")
-        if v.is_zero:
-            return 0.0
-        total = v.coeffs[0]
-        for k, c in enumerate(v.coeffs[1:], start=1):
-            if c != 0.0:
-                total += c * trace_power(m, k)
-        return float(total)
-    raise ValueError(f"unknown method {method!r}")
+    if v.is_zero:
+        return 0.0
+    if v.is_polynomial:
+        return float(np.dot(v.coeffs, _power_traces(m, v.degree)) / m.n)
+    return float(np.mean(v(eigenvalues(m).values)))
 
 
 def _window_indices(n: int, periodic: bool, center_lo: int, center_hi: int, radius: int):
@@ -243,7 +239,7 @@ def _window_indices(n: int, periodic: bool, center_lo: int, center_hi: int, radi
     return np.arange(lo, hi + 1)
 
 
-def _arc_dense(diag: np.ndarray, off: np.ndarray, periodic: bool, idx: np.ndarray) -> np.ndarray:
+def _arc_dense(diag: np.ndarray, off: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Dense symmetric tridiagonal matrix of a contiguous cyclic arc."""
     k = idx.size
     w = np.zeros((k, k))
@@ -267,20 +263,44 @@ def _trace_poly_dense(w: np.ndarray, coeffs: tuple[float, ...]) -> float:
     return float(total)
 
 
+def _trace_delta(diag: np.ndarray, off: np.ndarray, periodic: bool, site: int, kind: str,
+                 new_value: float, v: Potential) -> float:
+    """Tr V(M') - Tr V(M) for polynomial V, M' replacing one symmetric entry pair.
+
+    Uses the dense window of radius deg V around the entry when the cyclic
+    arc fits (a closed walk of length k never leaves the radius-k arc around
+    its base point); otherwise N times the difference of ``trace_potential``.
+    """
+    hi = site if kind == "diag" else site + 1
+    idx = _window_indices(diag.size, periodic, site, hi, v.degree)
+    if idx is None:
+        m = PeriodicJacobiMatrix(diag, off, periodic)
+        changed = m.with_entry(site, kind, new_value)
+        return m.n * (trace_potential(changed, v) - trace_potential(m, v))
+    w_old = _arc_dense(diag, off, idx)
+    w_new = w_old.copy()
+    pos = int(np.nonzero(idx == site)[0][0])
+    if kind == "diag":
+        w_new[pos, pos] = new_value
+    else:
+        w_new[pos, pos + 1] = new_value
+        w_new[pos + 1, pos] = new_value
+    return _trace_poly_dense(w_new, v.coeffs) - _trace_poly_dense(w_old, v.coeffs)
+
+
 def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
                       new_value: float, v: Potential) -> float:
     """Tr V(M') - Tr V(M) where M' replaces one symmetric entry pair.
 
-    Exact up to rounding for polynomial V.  When the polynomial degree
-    exceeds N/2 the cyclic window no longer fits and the difference falls
-    back to two full trace evaluations (documented slow path).
+    Exact up to rounding for polynomial V at every N: a small dense window
+    around the entry when it fits, two power-trace sums otherwise (degree
+    above about N/2).
     """
     if not v.is_polynomial:
         raise TypeError("local_trace_delta needs a polynomial potential")
     _require_finite(m)
-    n = m.n
     if kind == "diag":
-        if not 0 <= site < n:
+        if not 0 <= site < m.n:
             raise ValueError("diag site out of range")
     elif kind == "offdiag":
         if not 0 <= site < m.offdiag.size:
@@ -292,29 +312,7 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
     old_value = m.diag[site] if kind == "diag" else m.offdiag[site]
     if new_value == old_value:
         return 0.0
-    deg = v.degree
-    if kind == "diag":
-        idx = _window_indices(n, m.periodic, site, site, deg)
-    else:
-        idx = _window_indices(n, m.periodic, site, site + 1, deg)
-    if idx is None:
-        changed = m.with_entry(site, kind, new_value)
-        return n * (trace_potential(changed, v, method="power")
-                    - trace_potential(m, v, method="power"))
-    return _delta_from_window(m.diag, m.offdiag, m.periodic, idx, site, kind,
-                              new_value, v.coeffs)
-
-
-def _delta_from_window(diag, off, periodic, idx, site, kind, new_value, coeffs) -> float:
-    w_old = _arc_dense(diag, off, periodic, idx)
-    w_new = w_old.copy()
-    pos = int(np.nonzero(idx == site)[0][0])
-    if kind == "diag":
-        w_new[pos, pos] = new_value
-    else:
-        w_new[pos, pos + 1] = new_value
-        w_new[pos + 1, pos] = new_value
-    return _trace_poly_dense(w_new, coeffs) - _trace_poly_dense(w_old, coeffs)
+    return _trace_delta(m.diag, m.offdiag, m.periodic, site, kind, new_value, v)
 
 
 # -- text dump format ---------------------------------------------------

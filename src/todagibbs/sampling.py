@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import (PeriodicJacobiMatrix, _delta_from_window, _window_indices, eigenvalues,
-                       trace_potential)
+from .matrices import PeriodicJacobiMatrix, _trace_delta, trace_potential
 from .potentials import Potential
 
 # Underflow guard: chi draws with tiny degrees of freedom concentrate below
@@ -287,27 +286,13 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
 
 
 def _full_trace_v(diag, off, v: Potential) -> float:
-    """Tr V(M) summed over the spectrum of the periodic matrix (diag, off)."""
-    return float(np.sum(v(eigenvalues(PeriodicJacobiMatrix(diag, off, periodic=True)).values)))
-
-
-def _local_delta(diag, off, n, site, kind, new_value, coeffs, deg, periodic=True) -> float:
-    if kind == "diag":
-        idx = _window_indices(n, periodic, site, site, deg)
-    else:
-        idx = _window_indices(n, periodic, site, site + 1, deg)
-    return _delta_from_window(diag, off, periodic, idx, site, kind, new_value, coeffs)
+    """Tr V(M) of the periodic matrix (diag, off)."""
+    return diag.size * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
 
 
 def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> McmcReport:
     diag, off = _exact_base_draw(rng, n, p)
     polynomial = v.is_polynomial
-    if polynomial:
-        coeffs = v.coeffs
-        deg = v.degree
-        local_ok = _window_indices(n, True, 0, 1, deg) is not None
-    else:
-        coeffs, deg, local_ok = None, None, False
     trv = _full_trace_v(diag, off, v)
 
     scale_a, scale_b = float(proposal_scales[0]), float(proposal_scales[1])
@@ -320,27 +305,10 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
     samples, t2_series, tv_series = [], [], []
 
     def delta_tr(site, kind, new_value):
-        if polynomial and local_ok:
-            return _local_delta(diag, off, n, site, kind, new_value, coeffs, deg)
         if polynomial:
-            changed = PeriodicJacobiMatrix(
-                np.where(np.arange(n) == site, new_value, diag) if kind == "diag" else diag,
-                np.where(np.arange(n) == site, new_value, off) if kind == "offdiag" else off,
-                periodic=True)
-            base = PeriodicJacobiMatrix(diag, off, periodic=True)
-            return n * (trace_potential(changed, v, method="power")
-                        - trace_potential(base, v, method="power"))
-        old = diag[site] if kind == "diag" else off[site]
-        if kind == "diag":
-            diag[site] = new_value
-        else:
-            off[site] = new_value
-        new_trv = _full_trace_v(diag, off, v)
-        if kind == "diag":
-            diag[site] = old
-        else:
-            off[site] = old
-        return new_trv - trv
+            return _trace_delta(diag, off, True, site, kind, new_value, v)
+        changed = PeriodicJacobiMatrix(diag, off, periodic=True).with_entry(site, kind, new_value)
+        return n * trace_potential(changed, v) - trv
 
     for sweep in range(sweeps):
         xi_a = rng.standard_normal(n)

@@ -177,3 +177,41 @@ def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["solve", "--config", str(path)]) == 1
+
+
+QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("sample", {"source": "toda", "n": 10, "p": None, "replicas": 2}),
+    ("sample", {"source": "toda", "n": [3], "p": 1.0, "replicas": 2}),
+    ("sample", {"source": "toda", "n": 10, "p": "abc", "replicas": 2}),
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5,
+                "proposal_scales": [-1, 1], "potential": QUARTIC}),
+    ("checks", {"checks": ["beta_mixture"], "n_nodes": 3}),
+    ("solve", {"p": 1.0, "theta0": 2}),
+    ("solve", {"p": 1.0, "tol": -1}),
+    ("dos", {"p": 1.0, "h_p": 0.9}),
+])
+def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg):
+    rc, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_unknown_check_name_rejected(tmp_path, capsys):
+    rc, out = run(tmp_path, "checks", {"checks": ["bogus"]})
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "bogus" in err and "beta_mixture" in err and "fc_convexity" in err
+    assert not os.path.exists(os.path.join(out, "checks.json"))
+
+
+def test_library_value_error_is_not_relabelled(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr("todagibbs.cli.solve_equilibrium", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}})

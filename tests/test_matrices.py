@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,11 +103,27 @@ def test_trace_power_small_cases():
     assert trace_power(m2, 1) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_trace_power_matches_eigenvalues():
-    rng = np.random.default_rng(11)
-    m = random_matrix(rng, 8)
-    ev = eigenvalues(m).values
-    assert trace_power(m, 6) == pytest.approx(np.mean(ev ** 6), abs=1e-10)
+@pytest.mark.parametrize("periodic,n", [(True, 3), (True, 4), (True, 5), (True, 7),
+                                        (False, 2), (False, 3)])
+def test_trace_power_matches_dense(periodic, n):
+    # 2k + 1 > N for most k here: closed walks wrap the cycle several times
+    rng = np.random.default_rng(11 + n)
+    m = random_matrix(rng, n, periodic=periodic)
+    dense = m.to_dense()
+    for k in range(1, 9):
+        ref = np.trace(np.linalg.matrix_power(dense, k)) / n
+        assert abs(trace_power(m, k) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_trace_power_memory_is_linear_in_n():
+    m = random_matrix(np.random.default_rng(31), 4000)
+    tracemalloc.start()
+    try:
+        trace_power(m, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_trace_potential_consistency():
@@ -114,8 +132,8 @@ def test_trace_potential_consistency():
     assert trace_potential(m, Potential.polynomial([0, 0, 1.0])) == pytest.approx(
         trace_power(m, 2), abs=1e-12)
     assert trace_potential(m, Potential.zero()) == 0.0
-    a = trace_potential(m, V4, method="eigen")
-    b = trace_potential(m, V4, method="power")
+    a = float(np.mean(V4(eigenvalues(m).values)))
+    b = trace_potential(m, V4)
     assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
 
