@@ -36,7 +36,7 @@ from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
 from .matrices import EmpiricalSpectralMeasure, dump_matrix, eigenvalues, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
 from .potentials import NonConfiningError, Potential, PotentialDomainError
-from .sampling import (_TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
+from .sampling import (TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
                        replica_map, sample_beta_matrix, sample_profile_matrix,
                        sample_toda_matrix)
 
@@ -90,7 +90,7 @@ def _value(cfg: dict, key: str, default, cast, ok, need: str):
     raw = cfg.get(key, default)
     try:
         value = cast(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {need}, got {raw!r}") from None
     if not ok(value):
         raise ConfigError(f"{key} must be {need}, got {raw!r}")
@@ -120,6 +120,8 @@ def _profile_from_config(cfg: dict) -> VarianceProfile:
 
 def _potential_from_config(cfg: dict) -> Potential:
     spec = cfg.get("potential", {"type": "zero"})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"potential must be an object, got {spec!r}")
     try:
         return Potential.from_dict(spec)
     except (ValueError, KeyError, TypeError) as exc:
@@ -173,9 +175,9 @@ class SampleConfig:
         potential = _potential_from_config(cfg)
         if source == "mcmc":
             sweeps = _positive_int(cfg, "sweeps")
-            if potential.is_tabulated and n > _TABULATED_MCMC_MAX_N:
+            if potential.is_tabulated and n > TABULATED_MCMC_MAX_N:
                 raise ConfigError(f"mcmc with a tabulated potential needs n <= "
-                                  f"{_TABULATED_MCMC_MAX_N}, got {n}")
+                                  f"{TABULATED_MCMC_MAX_N}, got {n}")
         else:
             replicas = _positive_int(cfg, "replicas")
         scales = _value(cfg, "proposal_scales", (0.5, 0.5),
@@ -278,8 +280,9 @@ class ChecksConfig:
         p = _positive_float(cfg, "p", 1.0)
         w = _potential_from_config(cfg)
         which = _value(cfg, "checks", CHECK_NAMES, tuple,
-                       lambda names: all(name in CHECK_NAMES for name in names),
-                       f"a list of check names from {', '.join(CHECK_NAMES)}")
+                       lambda names: bool(names) and all(name in CHECK_NAMES
+                                                         for name in names),
+                       f"a non-empty list of check names from {', '.join(CHECK_NAMES)}")
         if "free_energy" in which and w.is_tabulated:
             raise ConfigError("the free_energy check needs a polynomial potential")
         return cls(raw=cfg, p=p, potential=w,
@@ -593,10 +596,11 @@ def main(argv=None) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else _value(
-            cfg, "seed", 0, int, lambda v: True, "an integer")
-        workers = args.workers if args.workers is not None else _value(
-            cfg, "workers", os.cpu_count() or 1, int, lambda v: True, "an integer")
+        # --seed and --workers override the config keys and are checked alike
+        resolved = {**cfg, **{key: getattr(args, key) for key in ("seed", "workers")
+                              if getattr(args, key) is not None}}
+        seed = _value(resolved, "seed", 0, int, lambda v: v >= 0, "a nonnegative integer")
+        workers = _positive_int(resolved, "workers", os.cpu_count() or 1)
         out_dir = args.out if args.out is not None else str(cfg.get("out", "."))
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg, seed, workers, out_dir)

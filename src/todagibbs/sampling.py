@@ -33,7 +33,7 @@ from .potentials import Potential
 # moving any eigenvalue at solver precision.
 _CHI_FLOOR = 1e-300
 
-_TABULATED_MCMC_MAX_N = 400
+TABULATED_MCMC_MAX_N = 400
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,9 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     if not (proposal_scales[0] > 0 and proposal_scales[1] > 0):
         raise ValueError("proposal scales must be positive")
     v.require_confining()
-    if v.is_tabulated and n > _TABULATED_MCMC_MAX_N:
+    if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
         raise ValueError(
-            f"tabulated potentials recompute full spectra per move; N <= {_TABULATED_MCMC_MAX_N}"
+            f"tabulated potentials recompute full spectra per move; N <= {TABULATED_MCMC_MAX_N}"
         )
 
     rng = stream.generator()

@@ -182,29 +182,37 @@ def test_malformed_json(tmp_path):
 QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
 
 
-@pytest.mark.parametrize("command,cfg", [
-    ("sample", {"source": "toda", "n": 10, "p": None, "replicas": 2}),
-    ("sample", {"source": "toda", "n": [3], "p": 1.0, "replicas": 2}),
-    ("sample", {"source": "toda", "n": 10, "p": "abc", "replicas": 2}),
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("sample", {"source": "toda", "n": 10, "p": None, "replicas": 2}, {}),
+    ("sample", {"source": "toda", "n": [3], "p": 1.0, "replicas": 2}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": "abc", "replicas": 2}, {}),
     ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5,
-                "proposal_scales": [-1, 1], "potential": QUARTIC}),
-    ("checks", {"checks": ["beta_mixture"], "n_nodes": 3}),
-    ("solve", {"p": 1.0, "theta0": 2}),
-    ("solve", {"p": 1.0, "tol": -1}),
-    ("dos", {"p": 1.0, "h_p": 0.9}),
+                "proposal_scales": [-1, 1], "potential": QUARTIC}, {}),
+    ("checks", {"checks": ["beta_mixture"], "n_nodes": 3}, {}),
+    ("solve", {"p": 1.0, "theta0": 2}, {}),
+    ("solve", {"p": 1.0, "tol": -1}, {}),
+    ("dos", {"p": 1.0, "h_p": 0.9}, {}),
+    ("solve", {"p": 1.0, "seed": -1}, {}),
+    ("sample", {"source": "toda", "n": math.inf, "p": 1.0, "replicas": 2}, {}),
+    ("solve", {"p": 1.0, "workers": 0}, {}),
+    ("solve", {"p": 1.0, "potential": 3}, {}),
+    ("solve", {"p": 1.0}, {"seed": -1}),
+    ("solve", {"p": 1.0}, {"seed": "x"}),
+    ("solve", {"p": 1.0}, {"workers": 0}),
 ])
-def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg):
-    rc, _ = run(tmp_path, command, cfg)
+def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
+    rc, _ = run(tmp_path, command, cfg, **flags)
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "Traceback" not in err
 
 
-def test_unknown_check_name_rejected(tmp_path, capsys):
-    rc, out = run(tmp_path, "checks", {"checks": ["bogus"]})
+@pytest.mark.parametrize("names", [["bogus"], []])
+def test_unknown_check_name_rejected(tmp_path, capsys, names):
+    rc, out = run(tmp_path, "checks", {"checks": names})
     err = capsys.readouterr().err
     assert rc == 1
-    assert "bogus" in err and "beta_mixture" in err and "fc_convexity" in err
+    assert str(names) in err and "beta_mixture" in err and "fc_convexity" in err
     assert not os.path.exists(os.path.join(out, "checks.json"))
 
 

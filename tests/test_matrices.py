@@ -179,13 +179,14 @@ def test_local_delta_matches_full_recompute(periodic):
 
 
 def test_local_delta_degree_fallback():
-    # degree 8 window does not fit in N = 9, falls back to full difference
+    # degree 8 window does not fit in N = 9, falls back to full difference;
+    # the reference sums V over both spectra, independent of the power traces
     rng = np.random.default_rng(23)
     m = random_matrix(rng, 9)
     v8 = Potential.polynomial([0] * 8 + [1.0])
     d_local = local_trace_delta(m, 2, "diag", 0.4, v8)
     m2 = m.with_entry(2, "diag", 0.4)
-    d_full = 9 * (trace_potential(m2, v8) - trace_potential(m, v8))
+    d_full = np.sum(v8(eigenvalues(m2).values)) - np.sum(v8(eigenvalues(m).values))
     assert d_local == pytest.approx(d_full, rel=1e-9)
 
 
