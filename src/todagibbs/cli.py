@@ -8,8 +8,8 @@ manifest with the resolved config and per-file SHA-256 digests.  Reruns with
 the same config and seed produce identical digests regardless of worker count.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  Config
-values are validated up front; any other exception is a bug and propagates
-with its traceback.
+values are validated up front, before the run directory is opened; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .dos import (DosStepError, beta_mixture_check, d_lipschitz_sweep,
 from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
                           NonConvergedError, build_log_kernel, domain_auto,
                           solve_equilibrium)
-from .matrices import EmpiricalSpectralMeasure, dump_matrix, eigenvalues, trace_power
+from .matrices import EmpiricalSpectralMeasure, eigenvalues, matrix_text, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
 from .potentials import NonConfiningError, Potential, PotentialDomainError
 from .sampling import (TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
@@ -49,42 +48,14 @@ class NonConvergenceExit(RuntimeError):
     """Numerical non-convergence surfaced as exit code 2."""
 
 
-# -- small helpers --------------------------------------------------------
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config missing required key {key!r}")
-    return cfg[key]
-
-
-def _run_context(cfg: dict, seed: int) -> dict:
-    """Parameter echo embedded in every report for reproducibility.
-
-    Worker count is deliberately excluded: it never affects results, and
-    output digests must not depend on it.
-    """
-    return {"config": cfg, "master_seed": seed}
+# -- config values -----------------------------------------------------------
 
 
 def _value(cfg: dict, key: str, default, cast, ok, need: str):
-    """cfg[key], or ``default`` when absent, converted by ``cast`` and checked by ``ok``."""
+    """cfg[key], or ``default`` when absent, converted by ``cast`` and checked by ``ok``.
+
+    A ``default`` of None makes the key required.
+    """
     if key not in cfg and default is None:
         raise ConfigError(f"config missing required key {key!r}")
     raw = cfg.get(key, default)
@@ -101,8 +72,15 @@ def _positive(v) -> bool:
     return 0 < v < math.inf
 
 
+def _integer(raw) -> int:
+    """An integral JSON number; booleans, fractions and strings are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw != int(raw):
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _positive_int(cfg: dict, key: str, default=None, minimum: int = 1) -> int:
-    return _value(cfg, key, default, int, lambda v: v >= minimum,
+    return _value(cfg, key, default, _integer, lambda v: v >= minimum,
                   "a positive integer" if minimum == 1 else f"an integer >= {minimum}")
 
 
@@ -111,11 +89,8 @@ def _positive_float(cfg: dict, key: str, default=None) -> float:
 
 
 def _profile_from_config(cfg: dict) -> VarianceProfile:
-    raw = _require(cfg, "profile")
-    try:
-        return VarianceProfile(tuple(raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid profile: {exc}") from exc
+    return _value(cfg, "profile", None, lambda raw: VarianceProfile(tuple(raw)),
+                  lambda _: True, "a list of positive variances")
 
 
 def _potential_from_config(cfg: dict) -> Potential:
@@ -139,255 +114,114 @@ def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
                        "a positive number or 'auto'"), m)
 
 
-# -- experiment configs ------------------------------------------------------
-#
-# One validated record per command.  ``raw`` keeps the exact dict read from
-# the JSON file, so the manifest snapshot round-trips losslessly.
+# -- run directory -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    raw: dict = field(repr=False)
-    source: str
-    n: int
-    p: float | None
-    replicas: int | None
-    profile: "VarianceProfile | None"
-    potential: Potential
-    sweeps: int | None
-    thin: int
-    proposal_scales: tuple
-    dump_samples: bool
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "SampleConfig":
-        source = _require(cfg, "source")
-        if source not in ("toda", "beta", "profile", "mcmc"):
-            raise ConfigError(f"unknown sample source {source!r}")
-        # beta matrices are plain tridiagonal; the others are periodic
-        n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
-        p = replicas = sweeps = None
-        profile = None
-        if source == "profile":
-            profile = _profile_from_config(cfg)
-        else:
-            p = _positive_float(cfg, "p")
-        potential = _potential_from_config(cfg)
-        if source == "mcmc":
-            sweeps = _positive_int(cfg, "sweeps")
-            if potential.is_tabulated and n > TABULATED_MCMC_MAX_N:
-                raise ConfigError(f"mcmc with a tabulated potential needs n <= "
-                                  f"{TABULATED_MCMC_MAX_N}, got {n}")
-        else:
-            replicas = _positive_int(cfg, "replicas")
-        scales = _value(cfg, "proposal_scales", (0.5, 0.5),
-                        lambda raw: tuple(float(x) for x in raw),
-                        lambda t: len(t) == 2 and all(_positive(x) for x in t),
-                        "two positive numbers")
-        return cls(raw=cfg, source=source, n=n, p=p, replicas=replicas,
-                   profile=profile, potential=potential,
-                   sweeps=sweeps, thin=_positive_int(cfg, "thin", 1),
-                   proposal_scales=scales,
-                   dump_samples=bool(cfg.get("dump_samples", False)))
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    raw: dict = field(repr=False)
-    p: float
-    potential: Potential
-    grid: Grid
-    theta0: float
-    tol: float
-    max_iter: int
+class RunDir:
+    """The output directory of one run and its manifest.
 
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "SolveConfig":
-        p = _value(cfg, "p", None, float, lambda v: 0 <= v < math.inf,
-                   "a nonnegative number")
-        w = _potential_from_config(cfg)
-        return cls(raw=cfg, p=p, potential=w,
-                   grid=_grid_from_config(cfg, max(p, 0.5), w),
-                   theta0=_value(cfg, "theta0", 0.5, float, lambda v: 0 < v <= 1,
-                                 "a number in (0, 1]"),
-                   tol=_positive_float(cfg, "tol", 1e-8),
-                   max_iter=_value(cfg, "max_iter", 10000, int, lambda v: v >= 0,
-                                   "a nonnegative integer"))
+    Opening it writes ``manifest.json`` with status "running".  ``write`` puts
+    one output in place atomically and records its name; ``finish`` digests
+    exactly the recorded files and marks the manifest complete.
+    """
 
-
-@dataclass(frozen=True)
-class DosConfig:
-    raw: dict = field(repr=False)
-    potential: Potential
-    grid: Grid
-    p: float | None
-    profile: "VarianceProfile | None"
-    n_nodes: int
-    h_p: float | None
-    tol: float
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "DosConfig":
-        w = _potential_from_config(cfg)
-        p = profile = h_p = None
-        if "profile" in cfg:
-            profile = _profile_from_config(cfg)
-            grid = _grid_from_config(cfg, profile.maximum + 0.5, w)
-        else:
-            p = _positive_float(cfg, "p")
-            grid = _grid_from_config(cfg, p + 0.5, w)
-            if cfg.get("h_p") is not None:
-                h_p = _value(cfg, "h_p", None, float, lambda v: 0 < v < p / 2,
-                             f"a number in (0, p/2) = (0, {p / 2:g})")
-        return cls(raw=cfg, potential=w, grid=grid, p=p, profile=profile,
-                   n_nodes=_positive_int(cfg, "n_nodes", 15, minimum=5),
-                   h_p=h_p, tol=_positive_float(cfg, "tol", 1e-8))
-
-
-@dataclass(frozen=True)
-class CompareConfig:
-    raw: dict = field(repr=False)
-    eigenvalues_csv: str
-    density_csv: str
-    bandwidth: float | None
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "CompareConfig":
-        bw = _positive_float(cfg, "bandwidth") if cfg.get("bandwidth") else None
-        return cls(raw=cfg, eigenvalues_csv=str(_require(cfg, "eigenvalues_csv")),
-                   density_csv=str(_require(cfg, "density_csv")),
-                   bandwidth=bw)
-
-
-CHECK_NAMES = ("beta_mixture", "free_energy", "nu_density", "d_lipschitz", "fc_convexity")
-
-
-@dataclass(frozen=True)
-class ChecksConfig:
-    raw: dict = field(repr=False)
-    p: float
-    potential: Potential
-    grid: Grid
-    which: tuple
-    n_nodes: int
-    mixture_tol: float
-    n: int
-    sweeps: int
-    tol: float
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ChecksConfig":
-        p = _positive_float(cfg, "p", 1.0)
-        w = _potential_from_config(cfg)
-        which = _value(cfg, "checks", CHECK_NAMES, tuple,
-                       lambda names: bool(names) and all(name in CHECK_NAMES
-                                                         for name in names),
-                       f"a non-empty list of check names from {', '.join(CHECK_NAMES)}")
-        if "free_energy" in which and w.is_tabulated:
-            raise ConfigError("the free_energy check needs a polynomial potential")
-        return cls(raw=cfg, p=p, potential=w,
-                   grid=_grid_from_config(cfg, p + 0.5, w),
-                   which=which,
-                   n_nodes=_positive_int(cfg, "n_nodes", 21, minimum=5),
-                   mixture_tol=_positive_float(cfg, "mixture_tol", 1e-2),
-                   n=_positive_int(cfg, "n", 200, minimum=3),
-                   sweeps=_positive_int(cfg, "sweeps", 500),
-                   tol=_positive_float(cfg, "tol", 1e-8))
-
-
-class RunManifest:
-    """Written before the run starts, finalized with digests afterwards."""
-
-    def __init__(self, out_dir: str, command: str, config: dict, seed: int, workers: int):
-        self.path = os.path.join(out_dir, "manifest.json")
-        self.record = {
-            "command": command,
-            "artifact_version": __version__,
-            "config": config,
-            "master_seed": seed,
-            "workers": workers,
-            "status": "running",
-            "outputs": {},
-        }
+    def __init__(self, out_dir: str, command: str, cfg: dict, seed: int, workers: int):
+        os.makedirs(out_dir, exist_ok=True)
+        self._dir = out_dir
         self._t0 = time.time()
-        _atomic_write(self.path, _json_text(self.record))
+        self._names: list[str] = []
+        # parameter echo embedded in every report; the worker count is left out
+        # because it never affects results and digests must not depend on it
+        self.echo = {"config": cfg, "master_seed": seed}
+        self._manifest = {"command": command, "artifact_version": __version__,
+                          "config": cfg, "master_seed": seed, "workers": workers,
+                          "status": "running", "outputs": {}}
+        self._replace("manifest.json", _json_text(self._manifest))
 
-    def finalize(self, outputs: list[str]) -> None:
-        self.record["outputs"] = {os.path.basename(p): _digest(p) for p in outputs}
-        self.record["wall_clock_seconds"] = time.time() - self._t0
-        self.record["status"] = "complete"
-        _atomic_write(self.path, _json_text(self.record))
+    def _replace(self, name: str, text: str) -> None:
+        path = os.path.join(self._dir, name)
+        with open(path + ".tmp", "w") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+
+    def write(self, name: str, content) -> None:
+        """Write text, or a JSON object, as output ``name``."""
+        self._replace(name, content if isinstance(content, str) else _json_text(content))
+        self._names.append(name)
+
+    def finish(self) -> None:
+        digests = {}
+        for name in self._names:
+            with open(os.path.join(self._dir, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        self._manifest.update(outputs=digests, status="complete",
+                              wall_clock_seconds=time.time() - self._t0)
+        self._replace("manifest.json", _json_text(self._manifest))
 
 
 # -- sample ----------------------------------------------------------------
 
 
 def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
-    config = SampleConfig.from_dict(cfg)
-    manifest = RunManifest(out_dir, "sample", cfg, seed, workers)
-    rows = []
-    trace2 = []
-    extra: dict = {}
-
-    if config.source == "mcmc":
-        report = mcmc_toda(SeededStream(seed, 0), config.n, config.p,
-                           config.potential, sweeps=config.sweeps,
-                           thin=config.thin,
-                           proposal_scales=config.proposal_scales)
-        for k, sample in enumerate(report.samples):
-            rows.append((k, eigenvalues(sample).values))
-            trace2.append(trace_power(sample, 2))
-        extra = {
-            "acceptance": report.acceptance,
-            "autocorr_time": report.autocorr_time,
-            "ess": report.ess,
-            "sweeps": report.sweeps,
-        }
-        if config.dump_samples:
-            for k, sample in enumerate(report.samples):
-                dump_matrix(sample, os.path.join(out_dir, f"sample_{k:05d}.txt"))
+    source = _value(cfg, "source", None, str,
+                    lambda s: s in ("toda", "beta", "profile", "mcmc"),
+                    "one of toda, beta, profile, mcmc")
+    # beta matrices are plain tridiagonal; the others are periodic
+    n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
+    # the pressure, or the variance profile that replaces it
+    p = _profile_from_config(cfg) if source == "profile" else _positive_float(cfg, "p")
+    potential = _potential_from_config(cfg)
+    if source == "mcmc":
+        sweeps = _positive_int(cfg, "sweeps")
+        if potential.is_tabulated and n > TABULATED_MCMC_MAX_N:
+            raise ConfigError(f"mcmc with a tabulated potential needs n <= "
+                              f"{TABULATED_MCMC_MAX_N}, got {n}")
     else:
-        if config.source == "toda":
-            draw = lambda stream: sample_toda_matrix(stream, config.n, config.p)
-        elif config.source == "beta":
-            draw = lambda stream: sample_beta_matrix(stream, config.n, config.p)
-        else:
-            draw = lambda stream: sample_profile_matrix(stream, config.n, config.profile)
+        replicas = _positive_int(cfg, "replicas")
+    scales = _value(cfg, "proposal_scales", (0.5, 0.5),
+                    lambda raw: tuple(float(x) for x in raw),
+                    lambda t: len(t) == 2 and all(_positive(x) for x in t),
+                    "two positive numbers")
+    thin = _positive_int(cfg, "thin", 1)
+    dump_samples = bool(cfg.get("dump_samples", False))
 
-        def task(stream):
-            m = draw(stream)
-            return eigenvalues(m).values, trace_power(m, 2)
+    run = RunDir(out_dir, "sample", cfg, seed, workers)
+    extra: dict = {}
+    if source == "mcmc":
+        report = mcmc_toda(SeededStream(seed, 0), n, p, potential, sweeps=sweeps,
+                           thin=thin, proposal_scales=scales)
+        samples = report.samples
+        extra = {"acceptance": report.acceptance, "autocorr_time": report.autocorr_time,
+                 "ess": report.ess, "sweeps": report.sweeps}
+        if dump_samples:
+            for k, sample in enumerate(samples):
+                run.write(f"sample_{k:05d}.txt", matrix_text(sample))
+    else:
+        draw = {"toda": sample_toda_matrix, "beta": sample_beta_matrix,
+                "profile": sample_profile_matrix}[source]
+        samples = replica_map(lambda stream: draw(stream, n, p), replicas, seed)
+    spectra = [eigenvalues(sample).values for sample in samples]
+    t2 = np.array([trace_power(sample, 2) for sample in samples])
 
-        results = replica_map(task, config.replicas, seed)
-        for k, (vals, t2) in enumerate(results):
-            rows.append((k, vals))
-            trace2.append(t2)
-
-    eig_path = os.path.join(out_dir, "eigenvalues.csv")
-    lines = ["replica,lambda"]
-    for k, vals in rows:
-        lines.extend(f"{k},{v:.17g}" for v in vals)
-    _atomic_write(eig_path, "\n".join(lines) + "\n")
-
-    allvals = np.concatenate([vals for _, vals in rows])
-    t2 = np.asarray(trace2)
-    summary = {
-        "source": config.source,
-        "n": config.n,
-        "replica_count": len(rows),
+    run.write("eigenvalues.csv", "replica,lambda\n" + "".join(
+        f"{k},{v:.17g}\n" for k, vals in enumerate(spectra) for v in vals))
+    allvals = np.concatenate(spectra)
+    run.write("summary.json", {
+        "source": source,
+        "n": n,
+        "replica_count": len(samples),
         "eigenvalue_count": int(allvals.size),
         "moments": {str(k): float(np.mean(allvals ** k)) for k in (1, 2, 3, 4)},
         "trace_power2_mean": float(t2.mean()),
         "trace_power2_stderr": float(t2.std(ddof=1) / np.sqrt(t2.size)) if t2.size > 1 else 0.0,
-        "run": _run_context(cfg, seed),
+        "run": run.echo,
         **extra,
-    }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _atomic_write(summary_path, _json_text(summary))
-    outputs = [eig_path, summary_path]
-    if config.source == "mcmc" and config.dump_samples:
-        outputs += [os.path.join(out_dir, f"sample_{k:05d}.txt") for k in range(len(rows))]
-    manifest.finalize(outputs)
+    })
+    run.finish()
     return 0
 
 
@@ -395,18 +229,21 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
-    config = SolveConfig.from_dict(cfg)
-    manifest = RunManifest(out_dir, "solve", cfg, seed, workers)
-    solution = solve_equilibrium(config.p, config.potential, config.grid,
-                                 theta0=config.theta0, tol=config.tol,
-                                 max_iter=config.max_iter)
-    density_path = os.path.join(out_dir, "density.csv")
-    _atomic_write(density_path, solution.density.to_csv_text())
-    solution_path = os.path.join(out_dir, "solution.json")
+    p = _value(cfg, "p", None, float, lambda v: 0 <= v < math.inf, "a nonnegative number")
+    w = _potential_from_config(cfg)
+    grid = _grid_from_config(cfg, max(p, 0.5), w)
+    theta0 = _value(cfg, "theta0", 0.5, float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+    tol = _positive_float(cfg, "tol", 1e-8)
+    max_iter = _value(cfg, "max_iter", 10000, _integer, lambda v: v >= 0,
+                      "a nonnegative integer")
+
+    run = RunDir(out_dir, "solve", cfg, seed, workers)
+    solution = solve_equilibrium(p, w, grid, theta0=theta0, tol=tol, max_iter=max_iter)
+    run.write("density.csv", solution.density.to_csv_text())
     record = solution.to_json_dict(density_file="density.csv")
     record["second_moment"] = solution.density.moment(2)
-    _atomic_write(solution_path, _json_text(record))
-    manifest.finalize([density_path, solution_path])
+    run.write("solution.json", record)
+    run.finish()
     if not solution.converged:
         raise NonConvergenceExit(
             f"equilibrium solve did not converge: residual {solution.residual:.3e}")
@@ -417,41 +254,43 @@ def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 
 
 def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
-    config = DosConfig.from_dict(cfg)
-    manifest = RunManifest(out_dir, "dos", cfg, seed, workers)
-    if config.profile is not None:
-        nu = mixture_over_profile(config.profile, config.potential, config.grid,
-                                  config.n_nodes, tol=config.tol)
-        report = {"mode": "profile", "profile": list(config.profile.values),
-                  "n_nodes": config.n_nodes}
+    w = _potential_from_config(cfg)
+    if "profile" in cfg:
+        profile = _profile_from_config(cfg)
+        grid = _grid_from_config(cfg, profile.maximum + 0.5, w)
     else:
-        result = dos_from_equilibrium(config.p, config.potential, config.grid,
-                                      h_p=config.h_p, tol=config.tol)
+        p = _positive_float(cfg, "p")
+        grid = _grid_from_config(cfg, p + 0.5, w)
+        h_p = None
+        if cfg.get("h_p") is not None:
+            h_p = _value(cfg, "h_p", None, float, lambda v: 0 < v < p / 2,
+                         f"a number in (0, p/2) = (0, {p / 2:g})")
+    n_nodes = _positive_int(cfg, "n_nodes", 15, minimum=5)
+    tol = _positive_float(cfg, "tol", 1e-8)
+
+    run = RunDir(out_dir, "dos", cfg, seed, workers)
+    if "profile" in cfg:
+        nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
+        report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
+    else:
+        result = dos_from_equilibrium(p, w, grid, h_p=h_p, tol=tol)
         nu = result.nu
-        report = {
-            "mode": "single",
-            "P": config.p,
-            "fd_step": result.fd_step,
-            "negativity": result.negativity,
-        }
-    nu_path = os.path.join(out_dir, "nu.csv")
-    _atomic_write(nu_path, nu.to_csv_text())
-    report.update({
-        "mass": nu.mass(),
-        "moments": {str(k): nu.moment(k) for k in (1, 2, 3, 4)},
-        "run": _run_context(cfg, seed),
-    })
-    report_path = os.path.join(out_dir, "report.json")
-    _atomic_write(report_path, _json_text(report))
-    manifest.finalize([nu_path, report_path])
+        report = {"mode": "single", "P": p, "fd_step": result.fd_step,
+                  "negativity": result.negativity}
+    run.write("nu.csv", nu.to_csv_text())
+    run.write("report.json", {**report, "mass": nu.mass(),
+                              "moments": {str(k): nu.moment(k) for k in (1, 2, 3, 4)},
+                              "run": run.echo})
+    run.finish()
     return 0
 
 
 # -- compare -----------------------------------------------------------------
 
 
-def _load_empirical_csv(path: str):
-    """Eigenvalue list, or a density when the file carries an 'x,rho' header."""
+def _load_csv(cfg: dict, key: str):
+    """An eigenvalue list, or a density when the file carries an 'x,rho' header."""
+    path = _value(cfg, key, None, str, lambda _: True, "a file path")
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -460,94 +299,100 @@ def _load_empirical_csv(path: str):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return EmpiricalSpectralMeasure(data[:, 1])
     except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot read empirical CSV: {exc}") from exc
+        raise ConfigError(f"cannot read {key}: {exc}") from exc
 
 
 def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
-    config = CompareConfig.from_dict(cfg)
-    empirical_input = _load_empirical_csv(config.eigenvalues_csv)
-    try:
-        density = GridDensity.from_csv(config.density_csv)
-    except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot read density CSV: {exc}") from exc
-    manifest = RunManifest(out_dir, "compare", cfg, seed, workers)
+    empirical = _load_csv(cfg, "eigenvalues_csv")
+    density = _load_csv(cfg, "density_csv")
+    if not isinstance(density, GridDensity):
+        raise ConfigError("density_csv must hold an 'x,rho' density")
     grid = density.grid
-    kernel = build_log_kernel(grid)
-    if isinstance(empirical_input, GridDensity):
-        if empirical_input.grid != grid:
+    edges, _ = density.cdf_breakpoints()
+    if isinstance(empirical, GridDensity):
+        if empirical.grid != grid:
             raise ConfigError("density inputs live on different grids")
-        es = None
-        smoothed = empirical_input
-        empirical = empirical_input.values
+    elif empirical.values[0] < edges[0] or empirical.values[-1] > edges[-1]:
+        raise ConfigError("eigenvalue range exceeds the density grid")
+    # below h/2 a Gaussian centred in a cell can underflow at every grid point
+    bandwidth = (_value(cfg, "bandwidth", None, float, lambda v: grid.h / 2 <= v < math.inf,
+                        f"a number >= h/2 = {grid.h / 2:.6g}, half the density grid's step")
+                 if cfg.get("bandwidth") is not None else None)
+
+    run = RunDir(out_dir, "compare", cfg, seed, workers)
+    if isinstance(empirical, GridDensity):
+        smoothed = empirical
+        histogram = empirical.values
         count = grid.m
     else:
-        es = empirical_input
-        lo = grid.x[0] - grid.h / 2.0
-        hi = grid.x[-1] + grid.h / 2.0
-        if es.values[0] < lo or es.values[-1] > hi:
-            raise ConfigError("eigenvalue range exceeds the density grid")
-        smoothed = smooth_empirical(es, grid, bandwidth=config.bandwidth)
-        hist, _ = np.histogram(es.values,
-                               bins=np.concatenate((grid.x - grid.h / 2.0,
-                                                    [grid.x[-1] + grid.h / 2.0])))
-        empirical = hist / (es.values.size * grid.h)
-        count = len(es)
-    subject = es if es is not None else smoothed
+        smoothed = smooth_empirical(empirical, grid, bandwidth=bandwidth)
+        histogram = np.histogram(empirical.values, bins=edges)[0] / (len(empirical) * grid.h)
+        count = len(empirical)
     report = {
-        "bl_bv_distance": bl_bv_distance(subject, density),
-        "ks_distance": ks_distance(subject, density),
-        "log_energy_distance": log_energy_distance(smoothed, density, kernel),
-        "moments_empirical": {str(k): subject.moment(k) for k in (1, 2, 3, 4)},
+        "bl_bv_distance": bl_bv_distance(empirical, density),
+        "ks_distance": ks_distance(empirical, density),
+        "log_energy_distance": log_energy_distance(smoothed, density, build_log_kernel(grid)),
+        "moments_empirical": {str(k): empirical.moment(k) for k in (1, 2, 3, 4)},
         "moments_theoretical": {str(k): density.moment(k) for k in (1, 2, 3, 4)},
         "eigenvalue_count": count,
-        "run": _run_context(cfg, seed),
+        "run": run.echo,
     }
-    overlay_path = os.path.join(out_dir, "overlay.csv")
-    lines = ["x,rho_theory,rho_empirical"]
-    lines.extend(f"{x:.17g},{r:.17g},{e:.17g}"
-                 for x, r, e in zip(grid.x, density.values, empirical))
-    _atomic_write(overlay_path, "\n".join(lines) + "\n")
-    report_path = os.path.join(out_dir, "report.json")
-    _atomic_write(report_path, _json_text(report))
-    manifest.finalize([overlay_path, report_path])
+    run.write("overlay.csv", "x,rho_theory,rho_empirical\n" + "".join(
+        f"{x:.17g},{r:.17g},{e:.17g}\n" for x, r, e in zip(grid.x, density.values, histogram)))
+    run.write("report.json", report)
+    run.finish()
     return 0
 
 
 # -- checks ------------------------------------------------------------------
 
 
+CHECK_NAMES = ("beta_mixture", "free_energy", "nu_density", "d_lipschitz", "fc_convexity")
+
+
 def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
-    config = ChecksConfig.from_dict(cfg)
-    manifest = RunManifest(out_dir, "checks", cfg, seed, workers)
-    p, w, grid, tol = config.p, config.potential, config.grid, config.tol
+    p = _positive_float(cfg, "p", 1.0)
+    w = _potential_from_config(cfg)
+    which = _value(cfg, "checks", CHECK_NAMES, tuple,
+                   lambda names: bool(names) and all(name in CHECK_NAMES for name in names),
+                   f"a non-empty list of check names from {', '.join(CHECK_NAMES)}")
+    if "free_energy" in which and w.is_tabulated:
+        raise ConfigError("the free_energy check needs a polynomial potential")
+    grid = _grid_from_config(cfg, p + 0.5, w)
+    n_nodes = _positive_int(cfg, "n_nodes", 21, minimum=5)
+    mixture_tol = _positive_float(cfg, "mixture_tol", 1e-2)
+    n = _positive_int(cfg, "n", 200, minimum=3)
+    sweeps = _positive_int(cfg, "sweeps", 500)
+    tol = _positive_float(cfg, "tol", 1e-8)
+
+    run = RunDir(out_dir, "checks", cfg, seed, workers)
     bundle = {}
-    if "beta_mixture" in config.which:
-        rep = beta_mixture_check(p, w, grid, n_nodes=config.n_nodes, tol=tol)
-        rep["pass"] = bool(rep["sup_cdf_gap"] <= config.mixture_tol)
+    if "beta_mixture" in which:
+        rep = beta_mixture_check(p, w, grid, n_nodes=n_nodes, tol=tol)
+        rep["pass"] = bool(rep["sup_cdf_gap"] <= mixture_tol)
         bundle["beta_mixture"] = rep
-    if "free_energy" in config.which:
-        rep = free_energy_relation_check(p, w, n=config.n, mc_sweeps=config.sweeps,
+    if "free_energy" in which:
+        rep = free_energy_relation_check(p, w, n=n, mc_sweeps=sweeps,
                                          seed=seed, workers=workers, tol=tol)
         rep["pass"] = bool(rep["gap"] <= max(3.0 * rep["stderr"], 0.02))
         bundle["free_energy"] = rep
-    if "nu_density" in config.which:
+    if "nu_density" in which:
         rep = nu_density_relation_check(p, w, grid, tol=tol)
         rep["pass"] = bool(abs(rep["normalization"] - 1.0) <= 1e-3
                            and rep["min_density_factor"] >= -1e-6)
         bundle["nu_density"] = rep
-    if "d_lipschitz" in config.which:
+    if "d_lipschitz" in which:
         ratios = d_lipschitz_sweep(w=w, grid=grid)
         ok = all(max(r) <= 1.5 * r[0] + 1e-9 for r in ratios.values())
         bundle["d_lipschitz"] = {"ratios": {str(k): v for k, v in ratios.items()},
                                  "pass": bool(ok)}
-    if "fc_convexity" in config.which:
+    if "fc_convexity" in which:
         rep = fc_convexity_check(w=w, grid=grid, tol=tol)
         rep["pass"] = bool(rep["min_second_difference"] >= -1e-6)
         bundle["fc_convexity"] = rep
-    bundle["run"] = _run_context(cfg, seed)
-    report_path = os.path.join(out_dir, "checks.json")
-    _atomic_write(report_path, _json_text(bundle))
-    manifest.finalize([report_path])
+    bundle["run"] = run.echo
+    run.write("checks.json", bundle)
+    run.finish()
     return 0
 
 
@@ -599,10 +444,9 @@ def main(argv=None) -> int:
         # --seed and --workers override the config keys and are checked alike
         resolved = {**cfg, **{key: getattr(args, key) for key in ("seed", "workers")
                               if getattr(args, key) is not None}}
-        seed = _value(resolved, "seed", 0, int, lambda v: v >= 0, "a nonnegative integer")
+        seed = _value(resolved, "seed", 0, _integer, lambda v: v >= 0, "a nonnegative integer")
         workers = _positive_int(resolved, "workers", os.cpu_count() or 1)
         out_dir = args.out if args.out is not None else str(cfg.get("out", "."))
-        os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg, seed, workers, out_dir)
     except (ConfigError, PotentialDomainError, NonConfiningError,
             DomainTooSmallError) as exc:

@@ -22,7 +22,6 @@ minimized by the equilibrium solver.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
 from .sampling import SeededStream, mcmc_toda
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_NEGATIVITY_CEILING = 1e-3
 

@@ -317,12 +317,17 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
 
 # -- text dump format ---------------------------------------------------
 
-def dump_matrix(m: PeriodicJacobiMatrix, path) -> None:
+def matrix_text(m: PeriodicJacobiMatrix) -> str:
     """Plain-text dump: 'N periodic_flag' / diag / offdiag, full precision."""
+    return (f"{m.n} {1 if m.periodic else 0}\n"
+            + " ".join(format(x, ".17g") for x in m.diag) + "\n"
+            + " ".join(format(x, ".17g") for x in m.offdiag) + "\n")
+
+
+def dump_matrix(m: PeriodicJacobiMatrix, path) -> None:
+    """Write ``matrix_text(m)`` to ``path``; ``load_matrix`` reads it back."""
     with open(path, "w") as fh:
-        fh.write(f"{m.n} {1 if m.periodic else 0}\n")
-        fh.write(" ".join(format(x, ".17g") for x in m.diag) + "\n")
-        fh.write(" ".join(format(x, ".17g") for x in m.offdiag) + "\n")
+        fh.write(matrix_text(m))
 
 
 def load_matrix(path) -> PeriodicJacobiMatrix:

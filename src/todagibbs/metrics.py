@@ -143,8 +143,10 @@ def log_energy_distance(rho1: GridDensity, rho2: GridDensity, kernel: LogKernel)
 def smooth_empirical(es: EmpiricalSpectralMeasure, grid, bandwidth: float | None = None) -> GridDensity:
     """Gaussian kernel density estimate of an empirical measure on a grid.
 
-    Default bandwidth is n^(-1/5) times the sample standard deviation.
-    Raises when any eigenvalue falls outside the grid.
+    Default bandwidth is n^(-1/5) times the sample standard deviation, floored
+    at h/2 for the grid step h.  Below h/2 a Gaussian centred in a cell can
+    underflow to zero at every grid point, so a smaller bandwidth is rejected,
+    and so is any eigenvalue outside the grid.
     """
     vals = es.values
     lo = grid.x[0] - grid.h / 2.0
@@ -155,10 +157,10 @@ def smooth_empirical(es: EmpiricalSpectralMeasure, grid, bandwidth: float | None
             f"[{lo:.4g}, {hi:.4g}]"
         )
     if bandwidth is None:
-        spread = float(np.std(vals))
-        bandwidth = max(spread, 1e-12) * vals.size ** (-0.2)
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+        bandwidth = max(float(np.std(vals)) * vals.size ** (-0.2), grid.h / 2.0)
+    if not bandwidth >= grid.h / 2.0:
+        raise ValueError(f"bandwidth {bandwidth!r} is below half the grid step "
+                         f"h/2 = {grid.h / 2.0:.6g}")
     x = grid.x
     out = np.zeros(grid.m)
     chunk = max(1, int(2e6 // grid.m))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -199,6 +200,8 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     ("solve", {"p": 1.0}, {"seed": -1}),
     ("solve", {"p": 1.0}, {"seed": "x"}),
     ("solve", {"p": 1.0}, {"workers": 0}),
+    ("sample", {"source": "toda", "n": 3.7, "p": 1.0, "replicas": 2}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": True}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, _ = run(tmp_path, command, cfg, **flags)
@@ -223,3 +226,74 @@ def test_library_value_error_is_not_relabelled(tmp_path, monkeypatch):
     monkeypatch.setattr("todagibbs.cli.solve_equilibrium", broken)
     with pytest.raises(ValueError, match="library bug"):
         run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}})
+
+
+def solved_density(tmp_path, m=200, out="ref"):
+    rc, ref = run(tmp_path, "solve", {"p": 1.0, "grid": {"m": m}}, out=out)
+    assert rc == 0
+    return os.path.join(ref, "density.csv")
+
+
+def eigenvalue_csv(tmp_path, values):
+    path = tmp_path / "eigs.csv"
+    path.write_text("replica,lambda\n" + "".join(f"0,{v!r}\n" for v in values))
+    return str(path)
+
+
+def test_compare_default_bandwidth_with_equal_eigenvalues(tmp_path):
+    # all values equal and off a cell centre: the spread-based bandwidth is 0
+    cfg = {"eigenvalues_csv": eigenvalue_csv(tmp_path, [0.0123, 0.0123]),
+           "density_csv": solved_density(tmp_path)}
+    rc, out = run(tmp_path, "compare", cfg, out="cmp")
+    assert rc == 0
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert math.isfinite(rep["log_energy_distance"])
+
+
+# a bandwidth below h/2 can underflow to 0 at every grid point
+@pytest.mark.parametrize("case,bandwidth,message", [
+    ("off_grid", None, "eigenvalue range"),
+    ("other_grid", None, "different grids"),
+    ("on_grid", 1e-200, "bandwidth"),
+    ("on_grid", 1e-30, "bandwidth"),
+    ("on_grid", 0, "bandwidth"),
+])
+def test_invalid_compare_inputs_write_no_manifest(tmp_path, capsys, case, bandwidth, message):
+    if case == "other_grid":
+        empirical = solved_density(tmp_path, m=300, out="ref300")
+    else:
+        empirical = eigenvalue_csv(tmp_path, [0.0, 100.0] if case == "off_grid"
+                                   else [-0.5, 0.1, 0.7])
+    cfg = {"eigenvalues_csv": empirical, "density_csv": solved_density(tmp_path)}
+    if bandwidth is not None:
+        cfg["bandwidth"] = bandwidth
+    rc, out = run(tmp_path, "compare", cfg, out="cmp")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("sample", {"source": "toda", "n": 20, "p": 1.0, "replicas": 3}),
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 10, "thin": 2,
+                "potential": QUARTIC, "dump_samples": True}),
+    ("solve", {"p": 1.0, "grid": {"m": 200}}),
+    ("dos", {"p": 1.0, "grid": {"m": 200}}),
+    ("compare", {}),
+    ("checks", {"p": 1.0, "grid": {"m": 200}, "checks": ["nu_density"]}),
+])
+def test_manifest_lists_exactly_the_outputs(tmp_path, command, cfg):
+    if command == "compare":
+        cfg = {"eigenvalues_csv": eigenvalue_csv(tmp_path, [-0.5, 0.1, 0.7]),
+               "density_csv": solved_density(tmp_path)}
+    rc, out = run(tmp_path, command, cfg, out="run")
+    assert rc == 0
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["status"] == "complete"
+    assert set(os.listdir(out)) - {"manifest.json"} == set(manifest["outputs"])
+    if cfg.get("dump_samples"):
+        assert any(name.startswith("sample_") for name in manifest["outputs"])
+    for name, digest in manifest["outputs"].items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest

@@ -182,6 +182,21 @@ def test_smooth_requires_grid_coverage():
         smooth_empirical(EmpiricalSpectralMeasure([0.0, 3.0]), g)
 
 
+@pytest.mark.parametrize("bandwidth", [1e-200, 1e-30, 0.0])
+def test_smooth_rejects_bandwidth_below_half_grid_step(bandwidth):
+    g = Grid(1.0, 64)
+    with pytest.raises(ValueError, match="half the grid step"):
+        smooth_empirical(EmpiricalSpectralMeasure([0.0123]), g, bandwidth=bandwidth)
+
+
+def test_smooth_default_bandwidth_floored_at_half_grid_step():
+    g = Grid(1.0, 64)
+    rho = smooth_empirical(EmpiricalSpectralMeasure([0.0123, 0.0123]), g)
+    width = 0.5 * g.h
+    target = GridDensity.from_unnormalized(g, np.exp(-(g.x - 0.0123) ** 2 / (2 * width ** 2)))
+    assert np.allclose(rho.values, target.values, atol=1e-12)
+
+
 def test_smoothing_bias_shrinks_with_bandwidth():
     draws = sample_chi(SeededStream(21, 0), 4.0, size=2000)
     es = EmpiricalSpectralMeasure(draws)
