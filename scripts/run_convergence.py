@@ -48,7 +48,8 @@ def run(args):
     if rc != 0:
         return rc
 
-    report = json.load(open(os.path.join(work, "compare", "report.json")))
+    with open(os.path.join(work, "compare", "report.json")) as fh:
+        report = json.load(fh)
     print(f"N={args.n} replicas={args.replicas} P={args.p} source={args.source}")
     print(f"  bl_bv_distance     = {report['bl_bv_distance']:.6f}")
     print(f"  ks_distance        = {report['ks_distance']:.6f}")

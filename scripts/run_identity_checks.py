@@ -35,7 +35,8 @@ def run(args):
     rc = cli_main(["checks", "--config", cfg_path, "--out", work])
     if rc != 0:
         return rc
-    bundle = json.load(open(os.path.join(work, "checks.json")))
+    with open(os.path.join(work, "checks.json")) as fh:
+        bundle = json.load(fh)
     checks = {name: rep for name, rep in bundle.items() if name != "run"}
     for name, rep in checks.items():
         status = "PASS" if rep.get("pass") else "FAIL"

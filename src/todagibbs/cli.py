@@ -30,8 +30,7 @@ from .dos import (DosStepError, beta_mixture_check, d_lipschitz_sweep,
                   free_energy_relation_check, mixture_over_profile,
                   nu_density_relation_check)
 from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
-                          NonConvergedError, build_log_kernel, domain_auto,
-                          solve_equilibrium)
+                          NonConvergedError, domain_auto, solve_equilibrium)
 from .matrices import EmpiricalSpectralMeasure, eigenvalues, matrix_text, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
 from .potentials import NonConfiningError, Potential, PotentialDomainError
@@ -174,20 +173,26 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
     # the pressure, or the variance profile that replaces it
     p = _profile_from_config(cfg) if source == "profile" else _positive_float(cfg, "p")
-    potential = _potential_from_config(cfg)
+    # the chain reads these keys and the independent draws read replicas
+    mcmc_keys = ("potential", "sweeps", "thin", "proposal_scales", "dump_samples")
+    unread = [key for key in (("replicas",) if source == "mcmc" else mcmc_keys) if key in cfg]
+    if unread:
+        raise ConfigError(f"source {source} does not read {', '.join(unread)}")
     if source == "mcmc":
+        potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
         if potential.is_tabulated and n > TABULATED_MCMC_MAX_N:
             raise ConfigError(f"mcmc with a tabulated potential needs n <= "
                               f"{TABULATED_MCMC_MAX_N}, got {n}")
+        scales = _value(cfg, "proposal_scales", (0.5, 0.5),
+                        lambda raw: tuple(float(x) for x in raw),
+                        lambda t: len(t) == 2 and all(_positive(x) for x in t),
+                        "two positive numbers")
+        thin = _positive_int(cfg, "thin", 1)
+        dump_samples = _value(cfg, "dump_samples", False, lambda raw: raw,
+                              lambda v: isinstance(v, bool), "true or false")
     else:
         replicas = _positive_int(cfg, "replicas")
-    scales = _value(cfg, "proposal_scales", (0.5, 0.5),
-                    lambda raw: tuple(float(x) for x in raw),
-                    lambda t: len(t) == 2 and all(_positive(x) for x in t),
-                    "two positive numbers")
-    thin = _positive_int(cfg, "thin", 1)
-    dump_samples = bool(cfg.get("dump_samples", False))
 
     run = RunDir(out_dir, "sample", cfg, seed, workers)
     extra: dict = {}
@@ -331,7 +336,7 @@ def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     report = {
         "bl_bv_distance": bl_bv_distance(empirical, density),
         "ks_distance": ks_distance(empirical, density),
-        "log_energy_distance": log_energy_distance(smoothed, density, build_log_kernel(grid)),
+        "log_energy_distance": log_energy_distance(smoothed, density),
         "moments_empirical": {str(k): empirical.moment(k) for k in (1, 2, 3, 4)},
         "moments_theoretical": {str(k): density.moment(k) for k in (1, 2, 3, 4)},
         "eigenvalue_count": count,

@@ -27,15 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (EquilibriumSolution, Grid, GridDensity, LogKernel,
-                          build_log_kernel, domain_auto, solve_equilibrium)
+from .equilibrium import (EquilibriumSolution, Grid, GridDensity, build_log_kernel,
+                          domain_auto, solve_equilibrium)
 from .matrices import trace_potential
 from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
 from .sampling import SeededStream, mcmc_toda
 
 
-DEFAULT_NEGATIVITY_CEILING = 1e-3
+# largest clipped negative mass a density of states may carry
+NEGATIVITY_CEILING = 1e-3
+# beta_mixture_check clamps quadrature nodes s below this
+MIXTURE_S_MIN = 1e-3
 
 
 class DosStepError(ValueError):
@@ -55,15 +58,9 @@ class DosResult:
     upper: EquilibriumSolution
 
 
-def default_fd_step(p: float) -> float:
-    return min(1e-3, p / 10.0)
-
-
 def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
-                         h_p: float | None = None, tol: float = 1e-8,
-                         kernel: LogKernel | None = None,
-                         negativity_ceiling: float = DEFAULT_NEGATIVITY_CEILING) -> DosResult:
-    """nu_P as the central difference of P' -> P' mu_{P'} at P.
+                         h_p: float | None = None, tol: float = 1e-8) -> DosResult:
+    """nu_P as the central difference of P' -> P' mu_{P'} at P, step h_p (min(1e-3, P/10)).
 
     Pre-clip mass equals one up to rounding because each solve is normalized
     exactly; tiny negative cells are clipped and the clipped mass reported.
@@ -71,64 +68,57 @@ def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
     if not p > 0:
         raise ValueError("pressure must be positive")
     if h_p is None:
-        h_p = default_fd_step(p)
+        h_p = min(1e-3, p / 10.0)
     if not 0 < h_p < p / 2:
         raise ValueError("need 0 < h_p < p/2")
-    if kernel is None:
-        kernel = build_log_kernel(grid)
-    lower = solve_equilibrium(p - h_p, w, grid, tol=tol, kernel=kernel, raise_on_failure=True)
-    upper = solve_equilibrium(p + h_p, w, grid, tol=tol, kernel=kernel, raise_on_failure=True)
+    lower = solve_equilibrium(p - h_p, w, grid, tol=tol, raise_on_failure=True)
+    upper = solve_equilibrium(p + h_p, w, grid, tol=tol, raise_on_failure=True)
     raw = ((p + h_p) * upper.density.values - (p - h_p) * lower.density.values) / (2.0 * h_p)
     mass = float(np.sum(raw) * grid.h)
     if abs(mass - 1.0) > 1e-8:
         raise DosStepError(f"pre-clip mass {mass} deviates from 1 beyond 1e-8")
     negativity = float(-np.sum(np.minimum(raw, 0.0)) * grid.h)
-    if negativity > negativity_ceiling:
+    if negativity > NEGATIVITY_CEILING:
         raise DosStepError(
             f"clipped negative mass {negativity:.3e} exceeds ceiling "
-            f"{negativity_ceiling:.1e}; reduce h_p or refine the grid"
+            f"{NEGATIVITY_CEILING:.1e}; reduce h_p or refine the grid"
         )
     nu = GridDensity.from_unnormalized(grid, raw)
     return DosResult(p=p, potential=w, nu=nu, fd_step=h_p, negativity=negativity,
                      lower=lower, upper=upper)
 
 
-def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int, tol: float = 1e-8,
-                         kernel: LogKernel | None = None) -> GridDensity:
+def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int,
+                         tol: float = 1e-8) -> GridDensity:
     """nu_sigma = int_0^1 nu_{sigma(s)} ds by Gauss-Legendre quadrature.
 
     ``profile`` maps s in [0, 1] to a pressure, e.g. a ``VarianceProfile``.
     """
     if n_nodes < 5:
         raise ValueError("need at least 5 quadrature nodes")
-    if kernel is None:
-        kernel = build_log_kernel(grid)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     mix = np.zeros(grid.m)
     for s, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-        result = dos_from_equilibrium(float(profile(s)), w, grid, tol=tol, kernel=kernel)
+        result = dos_from_equilibrium(float(profile(s)), w, grid, tol=tol)
         mix += wt * result.nu.values
     return GridDensity.from_unnormalized(grid, mix)
 
 
 def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
-                       s_min: float = 1e-3, tol: float = 1e-8,
-                       kernel: LogKernel | None = None) -> dict:
+                       tol: float = 1e-8) -> dict:
     """Compare mu_P against the pressure mixture int_0^1 nu_{sP} ds.
 
-    Quadrature nodes below s_min are clamped there; the solver conditioning
-    degrades toward P = 0 where both sides approach exp(-W)/Z anyway.
+    Quadrature nodes below MIXTURE_S_MIN are clamped there; the solver
+    conditioning degrades toward P = 0 where both sides approach exp(-W)/Z anyway.
     """
-    if kernel is None:
-        kernel = build_log_kernel(grid)
-    mixture = mixture_over_profile(lambda s: max(float(s), s_min) * p, w, grid, n_nodes,
-                                   tol=tol, kernel=kernel)
-    mu = solve_equilibrium(p, w, grid, tol=tol, kernel=kernel, raise_on_failure=True).density
+    mixture = mixture_over_profile(lambda s: max(float(s), MIXTURE_S_MIN) * p, w, grid,
+                                   n_nodes, tol=tol)
+    mu = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).density
     gap = ks_distance(mixture, mu)
     return {
         "sup_cdf_gap": gap,
         "n_nodes": n_nodes,
-        "s_min": s_min,
+        "s_min": MIXTURE_S_MIN,
         "second_moment_mixture": mixture.moment(2),
         "second_moment_mu": mu.moment(2),
     }
@@ -137,19 +127,15 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
 # -- free-energy derivative check ----------------------------------------
 
 
-def coulomb_free_energy_shift(p: float, v: Potential, grid: Grid, tol: float = 1e-8,
-                              kernel: LogKernel | None = None) -> float:
+def coulomb_free_energy_shift(p: float, v: Potential, grid: Grid, tol: float = 1e-8) -> float:
     """F_C(V, P) - F_C(0, P): minus the difference of functional minima.
 
     The minimized functional is the large-N rate of the log partition with the
     opposite sign, so the V-difference of log-partition limits is
     -(inf F[V] - inf F[0]); constants independent of V cancel.
     """
-    if kernel is None:
-        kernel = build_log_kernel(grid)
-    with_v = solve_equilibrium(p, v, grid, tol=tol, kernel=kernel, raise_on_failure=True)
-    without = solve_equilibrium(p, Potential.zero(), grid, tol=tol, kernel=kernel,
-                                raise_on_failure=True)
+    with_v = solve_equilibrium(p, v, grid, tol=tol, raise_on_failure=True)
+    without = solve_equilibrium(p, Potential.zero(), grid, tol=tol, raise_on_failure=True)
     return -(with_v.free_energy - without.free_energy)
 
 
@@ -165,8 +151,7 @@ def _ti_node_task(args):
 
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
-                               thin: int = 5, grid: Grid | None = None,
-                               fd_step: float | None = None, tol: float = 1e-8,
+                               thin: int = 5, grid: Grid | None = None, tol: float = 1e-8,
                                workers: int = 1) -> dict:
     """Thermodynamic integration against the pressure-derivative identity.
 
@@ -175,8 +160,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
          under the tilted potential alpha V (trapezoid over the alpha nodes,
          stderr from replica spread).
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) by central differences of
-         equilibrium free energies, step ``fd_step`` (default min(1e-2, P/10),
-         so the lower pressure stays positive).
+         equilibrium free energies, step min(1e-2, P/10) so the lower
+         pressure stays positive.
     """
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
@@ -187,8 +172,7 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                 "min_ess": float("inf"), "reliable": True, "alphas": [], "node_means": []}
     if not w.is_polynomial:
         raise TypeError("thermodynamic integration needs a polynomial potential")
-    if fd_step is None:
-        fd_step = min(1e-2, p / 10.0)
+    fd_step = min(1e-2, p / 10.0)
 
     alphas = np.linspace(0.0, 1.0, n_alpha)
     tasks = []
@@ -220,9 +204,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     if grid is None:
         half = domain_auto(p + fd_step, Potential.zero())
         grid = Grid(half, 2000)
-    kernel = build_log_kernel(grid)
-    shift_up = coulomb_free_energy_shift(p + fd_step, w, grid, tol=tol, kernel=kernel)
-    shift_dn = coulomb_free_energy_shift(p - fd_step, w, grid, tol=tol, kernel=kernel)
+    shift_up = coulomb_free_energy_shift(p + fd_step, w, grid, tol=tol)
+    shift_dn = coulomb_free_energy_shift(p - fd_step, w, grid, tol=tol)
     rhs = float(((p + fd_step) * shift_up - (p - fd_step) * shift_dn) / (2.0 * fd_step))
 
     return {
@@ -238,20 +221,16 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     }
 
 
-def nu_density_relation_check(p: float, w: Potential, grid: Grid,
-                              tol: float = 1e-8,
-                              kernel: LogKernel | None = None) -> dict:
+def nu_density_relation_check(p: float, w: Potential, grid: Grid, tol: float = 1e-8) -> dict:
     """Check nu_P = (C + 2P * log-potential of nu_P) * mu_P pointwise.
 
     C is fitted as the mu-weighted mean of nu/mu - 2P U_nu, which also pins
     the normalization  C + 2P int U_nu dmu = 1.
     """
-    if kernel is None:
-        kernel = build_log_kernel(grid)
-    mu = solve_equilibrium(p, w, grid, tol=tol, kernel=kernel, raise_on_failure=True).density
-    nu = dos_from_equilibrium(p, w, grid, tol=tol, kernel=kernel).nu
+    mu = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).density
+    nu = dos_from_equilibrium(p, w, grid, tol=tol).nu
     h = grid.h
-    u_nu = kernel.log_potential(nu.values)
+    u_nu = build_log_kernel(grid).log_potential(nu.values)
     mask = mu.values > 0.0
     weight = float(np.sum(mu.values[mask]) * h)
     c_fit = float(np.sum(nu.values[mask] * h - 2.0 * p * u_nu[mask] * mu.values[mask] * h)
@@ -268,46 +247,46 @@ def nu_density_relation_check(p: float, w: Potential, grid: Grid,
     }
 
 
-def d_lipschitz_sweep(ps=(0.5, 1.0, 2.0), deltas=(1e-1, 1e-2, 1e-3),
-                      w: Potential | None = None, grid: Grid | None = None,
-                      tol: float = 1e-9) -> dict:
-    """Secant ratios D(mu_P, mu_{P+delta}) / delta as delta shrinks."""
+LIPSCHITZ_PRESSURES = (0.5, 1.0, 2.0)
+LIPSCHITZ_DELTAS = (1e-1, 1e-2, 1e-3)
+
+
+def d_lipschitz_sweep(w: Potential | None = None, grid: Grid | None = None) -> dict:
+    """Secant ratios D(mu_P, mu_{P+delta}) / delta as delta shrinks.
+
+    P runs over LIPSCHITZ_PRESSURES and delta over LIPSCHITZ_DELTAS; each
+    solve runs to tol 1e-9.
+    """
     if w is None:
         w = Potential.zero()
     if grid is None:
-        grid = Grid(domain_auto(max(ps) + max(deltas), w), 2000)
-    kernel = build_log_kernel(grid)
+        grid = Grid(domain_auto(max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS), w), 2000)
     out = {}
-    for p in ps:
-        base = solve_equilibrium(p, w, grid, tol=tol, kernel=kernel,
-                                 raise_on_failure=True).density
+    for p in LIPSCHITZ_PRESSURES:
+        base = solve_equilibrium(p, w, grid, tol=1e-9, raise_on_failure=True).density
         ratios = []
-        for delta in deltas:
-            shifted = solve_equilibrium(p + delta, w, grid, tol=tol, kernel=kernel,
+        for delta in LIPSCHITZ_DELTAS:
+            shifted = solve_equilibrium(p + delta, w, grid, tol=1e-9,
                                         raise_on_failure=True).density
-            ratios.append(log_energy_distance(base, shifted, kernel) / delta)
+            ratios.append(log_energy_distance(base, shifted) / delta)
         out[p] = ratios
     return out
 
 
-def fc_convexity_check(p_grid=None, w: Potential | None = None,
-                       grid: Grid | None = None, tol: float = 1e-8) -> dict:
-    """Discrete convexity of the Coulomb free energy P -> F_C.
+def fc_convexity_check(w: Potential | None = None, grid: Grid | None = None,
+                       tol: float = 1e-8) -> dict:
+    """Discrete convexity of the Coulomb free energy P -> F_C on P = 0.4, 0.6, ..., 2.4.
 
     F_C is the log-partition limit, i.e. minus the functional minimum; its
     convexity in P is the finite-N variance inequality surviving the limit.
     """
-    if p_grid is None:
-        p_grid = np.arange(0.4, 2.401, 0.2)
-    p_grid = np.asarray(p_grid, dtype=float)
+    p_grid = np.arange(0.4, 2.401, 0.2)
     if w is None:
         w = Potential.zero()
     if grid is None:
         grid = Grid(domain_auto(float(p_grid[-1]), w), 2000)
-    kernel = build_log_kernel(grid)
     f_c = np.array([
-        -solve_equilibrium(float(p), w, grid, tol=tol, kernel=kernel,
-                           raise_on_failure=True).free_energy
+        -solve_equilibrium(float(p), w, grid, tol=tol, raise_on_failure=True).free_energy
         for p in p_grid
     ])
     second = f_c[2:] - 2.0 * f_c[1:-1] + f_c[:-2]

@@ -34,6 +34,9 @@ logger = logging.getLogger(__name__)
 DENSITY_FLOOR = 1e-300
 # boundary cells above this fraction of the peak indicate mass escaping the box
 _LEAK_RATIO = 1e-10
+# domain_auto: target log tail envelope, and the half-width beyond which V is too weak
+_TAIL_LOG = np.log(1e-16)
+_MAX_HALF_WIDTH = 1e9
 
 
 class DomainTooSmallError(ValueError):
@@ -204,8 +207,8 @@ class EquilibriumSolution:
     iterations: int
     converged: bool
 
-    def to_json_dict(self, density_file: str | None = None) -> dict:
-        rec = {
+    def to_json_dict(self, density_file: str) -> dict:
+        return {
             "P": self.p,
             "potential": self.potential.to_dict(),
             "lambda": self.lam,
@@ -214,16 +217,15 @@ class EquilibriumSolution:
             "iterations": self.iterations,
             "converged": self.converged,
             "grid": {"half_width": self.density.grid.half_width, "m": self.density.grid.m},
+            "density_file": density_file,
         }
-        if density_file is not None:
-            rec["density_file"] = density_file
-        return rec
 
 
-def free_energy(rho: GridDensity, p: float, w: Potential, kernel: LogKernel) -> float:
+def free_energy(rho: GridDensity, p: float, w: Potential) -> float:
     """Discrete free-energy functional (potential - P log-energy + entropy)."""
     vals = rho.values
-    return _free_energy_parts(w.confinement(rho.grid.x), kernel.log_potential(vals), vals,
+    return _free_energy_parts(w.confinement(rho.grid.x),
+                              build_log_kernel(rho.grid).log_potential(vals), vals,
                               p, rho.grid.h)
 
 
@@ -243,7 +245,6 @@ def _residual_and_lambda(wx, phi, rho, p, h):
 
 def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
                       tol: float = 1e-8, max_iter: int = 10000,
-                      kernel: LogKernel | None = None,
                       raise_on_failure: bool = False) -> EquilibriumSolution:
     """Minimize the free-energy functional by damped fixed-point iteration.
 
@@ -262,12 +263,9 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
         raise ValueError("tol must be positive")
     if not 0 < theta0 <= 1:
         raise ValueError("theta0 must lie in (0, 1]")
-    if kernel is None:
-        kernel = build_log_kernel(grid)
-    elif kernel.grid != grid:
-        raise ValueError("kernel was built for a different grid")
     _warn_weak_log_margin(p, w)
 
+    kernel = build_log_kernel(grid)
     h = grid.h
     x = grid.x
     wx = w.confinement(x)
@@ -341,8 +339,7 @@ def _warn_weak_log_margin(p: float, w: Potential) -> None:
             "equilibrium tails may be heavy for P = %.3g", p)
 
 
-def domain_auto(p: float, w: Potential, tail_log: float = np.log(1e-16),
-                max_half_width: float = 1e9) -> float:
+def domain_auto(p: float, w: Potential) -> float:
     """Smallest half-width L with exp(-W(L) + 2P log(2L)) <= 1e-16 exp(-min W).
 
     Doubling search brackets the crossing, bisection refines it.  The bound
@@ -358,12 +355,12 @@ def domain_auto(p: float, w: Potential, tail_log: float = np.log(1e-16),
         w_edge = float(min(w.confinement_growth(np.array([length]))[0],
                            w.confinement_growth(np.array([-length]))[0]))
         log_gain = 2.0 * p * np.log(2.0 * length) if p > 0 else 0.0
-        return (-w_edge + log_gain) - (tail_log - w_min)
+        return (-w_edge + log_gain) - (_TAIL_LOG - w_min)
 
     length = 1.0
     while excess(length) > 0:
         length *= 2.0
-        if length > max_half_width:
+        if length > _MAX_HALF_WIDTH:
             raise NonConfiningError("confinement too weak to bound the tail")
     if length == 1.0:
         return 1.0

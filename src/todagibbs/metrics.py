@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import GridDensity, LogKernel
+from .equilibrium import GridDensity, build_log_kernel
 from .matrices import EmpiricalSpectralMeasure
 
 logger = logging.getLogger(__name__)
@@ -125,16 +125,16 @@ def ks_distance(mu, nu) -> float:
     return float(max(np.max(gap_right), np.max(gap_left)))
 
 
-def log_energy_distance(rho1: GridDensity, rho2: GridDensity, kernel: LogKernel) -> float:
+def log_energy_distance(rho1: GridDensity, rho2: GridDensity) -> float:
     """D(rho1, rho2) = sqrt(-(quadratic form of the log kernel) on rho1-rho2).
 
     The form is nonnegative on zero-mass differences up to discretization
     rounding; tiny negative values are clamped to zero and logged.
     """
-    if rho1.grid != rho2.grid or kernel.grid != rho1.grid:
-        raise ValueError("densities and kernel must share one grid")
+    if rho1.grid != rho2.grid:
+        raise ValueError("densities must share one grid")
     delta = rho1.values - rho2.values
-    q = -kernel.quadratic_form(delta)
+    q = -build_log_kernel(rho1.grid).quadratic_form(delta)
     if q < 0.0:
         logger.debug("log-energy form clamped at 0 (magnitude %.3e)", -q)
     return float(np.sqrt(max(q, 0.0)))

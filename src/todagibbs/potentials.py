@@ -197,24 +197,23 @@ class Potential:
 
     # -- confinement check ----------------------------------------------
 
-    def confinement_margin(self, quadratic_coefficient: float = 0.25,
-                           half_width: float = 50.0, points: int = 4001):
-        """Numerically check W(x) >= a' x^2 + C on a wide grid.
+    def confinement_margin(self):
+        """Numerically check W(x) >= x^2/4 + C on 4001 points of [-50, 50].
 
-        Returns the constant C (finite minimum of W - a' x^2).  Raises
+        Returns the constant C (finite minimum of W - x^2/4).  Raises
         ``NonConfiningError`` when the margin is still decreasing at the
         edge of the check grid, which signals growth slower than quadratic.
         """
-        x = np.linspace(-half_width, half_width, points)
-        margin = self.confinement_growth(x) - quadratic_coefficient * x * x
+        x = np.linspace(-50.0, 50.0, 4001)
+        margin = self.confinement_growth(x) - 0.25 * x * x
         c = float(np.min(margin))
         if not np.isfinite(c):
             raise NonConfiningError("confinement margin is not finite")
         edge = min(margin[0], margin[-1])
-        interior = float(np.min(margin[points // 4: -points // 4]))
+        interior = float(np.min(margin[1000:-1001]))
         if edge < interior - 1e-9:
             raise NonConfiningError(
-                "W - a'x^2 decreases toward the grid edge; potential not confining"
+                "W - x^2/4 decreases toward the grid edge; potential not confining"
             )
         return c
 

@@ -34,6 +34,8 @@ from .potentials import Potential
 _CHI_FLOOR = 1e-300
 
 TABULATED_MCMC_MAX_N = 400
+# share of the sweeps that mcmc_toda spends adapting proposal scales and discards
+BURN_IN_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,8 @@ class VarianceProfile:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def constant(cls, p: float, nodes: int = 2) -> "VarianceProfile":
-        return cls((p,) * max(nodes, 2))
-
-    @property
-    def minimum(self) -> float:
-        return min(self.values)
+    def constant(cls, p: float) -> "VarianceProfile":
+        return cls((p, p))
 
     @property
     def maximum(self) -> float:
@@ -102,9 +100,7 @@ def sample_toda_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobi
         raise ValueError("need n >= 3 for a periodic matrix")
     if not p > 0:
         raise ValueError("pressure p must be positive")
-    rng = stream.generator()
-    diag = rng.standard_normal(n)
-    off = _chi_positive(np.sqrt(rng.gamma(p, 1.0, size=n)))
+    diag, off = _exact_base_draw(stream.generator(), n, p)
     return PeriodicJacobiMatrix(diag, off, periodic=True)
 
 
@@ -229,16 +225,16 @@ def _exact_base_draw(rng: np.random.Generator, n: int, p: float):
 
 
 def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
-              sweeps: int, thin: int = 1, proposal_scales=(0.5, 0.5),
-              burn_in_fraction: float = 0.2) -> McmcReport:
+              sweeps: int, thin: int = 1, proposal_scales=(0.5, 0.5)) -> McmcReport:
     """Sample the Toda Gibbs ensemble with confining potential V at pressure P.
 
     For V = 0 the invariant law factorizes over entries and each sweep draws
     the state exactly (acceptance 1).  Otherwise a Metropolis-within-Gibbs
     sweep updates every diagonal and off-diagonal entry once; proposal scales
-    adapt toward 30-40% acceptance during burn-in, then freeze.  Polynomial V
-    uses exact local trace updates; tabulated V recomputes the full spectrum
-    per move and is limited to N <= 400.
+    adapt toward 30-40% acceptance during the burn-in (the first
+    BURN_IN_FRACTION of the sweeps, which yields no samples), then freeze.
+    Polynomial V uses exact local trace updates; tabulated V recomputes the
+    full spectrum per move and is limited to N <= 400.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -257,7 +253,7 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
         )
 
     rng = stream.generator()
-    burn = int(burn_in_fraction * sweeps)
+    burn = int(BURN_IN_FRACTION * sweeps)
     if v.is_zero:
         return _run_exact_chain(rng, n, p, sweeps, burn, thin)
     return _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales)
@@ -295,11 +291,9 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
     polynomial = v.is_polynomial
     trv = _full_trace_v(diag, off, v)
 
-    scale_a, scale_b = float(proposal_scales[0]), float(proposal_scales[1])
-    accepted = {"diag": 0, "offdiag": 0}
-    proposed = {"diag": 0, "offdiag": 0}
-    adapt_acc = {"diag": 0, "offdiag": 0}
-    adapt_prop = {"diag": 0, "offdiag": 0}
+    scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
+    accepted = dict.fromkeys(scales, 0)
+    proposed = dict.fromkeys(scales, 0)
     adapt_interval = 25
 
     samples, t2_series, tv_series = [], [], []
@@ -311,6 +305,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
         return n * trace_potential(changed, v) - trv
 
     for sweep in range(sweeps):
+        scale_a, scale_b = scales["diag"], scales["offdiag"]
         xi_a = rng.standard_normal(n)
         log_u_a = np.log(rng.random(n))
         xi_b = rng.standard_normal(n)
@@ -325,13 +320,10 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
                 diag[site] = a_new
                 trv += dtrv
                 accepted["diag"] += 1
-                adapt_acc["diag"] += 1
-            adapt_prop["diag"] += 1
             # off-diagonal move: multiplicative log-normal random walk
             b_old = off[site]
             b_new = b_old * math.exp(scale_b * xi_b[site])
             proposed["offdiag"] += 1
-            adapt_prop["offdiag"] += 1
             if not (b_new > 0.0 and math.isfinite(b_new)):
                 continue  # auto-rejected, counted as proposed
             dtrv = delta_tr(site, "offdiag", b_new)
@@ -339,24 +331,17 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
                 off[site] = b_new
                 trv += dtrv
                 accepted["offdiag"] += 1
-                adapt_acc["offdiag"] += 1
 
         if sweep < burn:
             if (sweep + 1) % adapt_interval == 0:
-                rate_a = adapt_acc["diag"] / max(adapt_prop["diag"], 1)
-                rate_b = adapt_acc["offdiag"] / max(adapt_prop["offdiag"], 1)
-                if rate_a > 0.40:
-                    scale_a = min(scale_a * 1.25, 10.0)
-                elif rate_a < 0.30:
-                    scale_a = max(scale_a / 1.25, 1e-3)
-                if rate_b > 0.40:
-                    scale_b = min(scale_b * 1.25, 10.0)
-                elif rate_b < 0.30:
-                    scale_b = max(scale_b / 1.25, 1e-3)
-                adapt_acc = {"diag": 0, "offdiag": 0}
-                adapt_prop = {"diag": 0, "offdiag": 0}
-                accepted = {"diag": 0, "offdiag": 0}
-                proposed = {"diag": 0, "offdiag": 0}
+                for kind in scales:
+                    rate = accepted[kind] / max(proposed[kind], 1)
+                    if rate > 0.40:
+                        scales[kind] = min(scales[kind] * 1.25, 10.0)
+                    elif rate < 0.30:
+                        scales[kind] = max(scales[kind] / 1.25, 1e-3)
+                accepted = dict.fromkeys(scales, 0)
+                proposed = dict.fromkeys(scales, 0)
             continue
 
         # rounding drift guard for the running trace
@@ -381,7 +366,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
         sweeps=sweeps,
         trace_sq_series=t2_series,
         trace_v_series=np.asarray(tv_series),
-        proposal_scales=(scale_a, scale_b),
+        proposal_scales=(scales["diag"], scales["offdiag"]),
     )
 
 

@@ -36,14 +36,13 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def quadratic_p1():
     grid = Grid(domain_auto(1.0, W0), 2000)
-    kernel = build_log_kernel(grid)
-    mu = solve_equilibrium(1.0, W0, grid, kernel=kernel, raise_on_failure=True)
-    nu = dos_from_equilibrium(1.0, W0, grid, kernel=kernel)
-    return grid, kernel, mu, nu
+    mu = solve_equilibrium(1.0, W0, grid, raise_on_failure=True)
+    nu = dos_from_equilibrium(1.0, W0, grid)
+    return grid, mu, nu
 
 
 def test_criterion_1_toda_convergence(quadratic_p1):
-    grid, kernel, mu, nu = quadratic_p1
+    grid, mu, nu = quadratic_p1
     spectra = [eigenvalues(sample_toda_matrix(SeededStream(2024, i), 2000, 1.0)).values
                for i in range(50)]
     aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
@@ -64,10 +63,8 @@ def test_criterion_2_exact_moments():
         ok &= abs(t2.mean() - (1 + 2 * p)) <= 3 * se
         lines.append(f"P={p}: tr2={t2.mean():.4f} (1+2P={1 + 2 * p}, 3se={3 * se:.4f})")
         grid = Grid(domain_auto(p, W0), 2000)
-        kernel = build_log_kernel(grid)
-        m2_mu = solve_equilibrium(p, W0, grid, kernel=kernel,
-                                  raise_on_failure=True).density.moment(2)
-        m2_nu = dos_from_equilibrium(p, W0, grid, kernel=kernel).nu.moment(2)
+        m2_mu = solve_equilibrium(p, W0, grid, raise_on_failure=True).density.moment(2)
+        m2_nu = dos_from_equilibrium(p, W0, grid).nu.moment(2)
         ok &= abs(m2_mu - (1 + p)) <= 1e-3
         ok &= abs(m2_nu - (1 + 2 * p)) <= 2e-3
         lines.append(f"P={p}: m2(mu)={m2_mu:.6f} (1+P +-1e-3), "
@@ -76,7 +73,7 @@ def test_criterion_2_exact_moments():
 
 
 def test_criterion_3_dumitriu_edelman_bridge(quadratic_p1):
-    grid, kernel, mu, _ = quadratic_p1
+    grid, mu, _ = quadratic_p1
     spectra = [eigenvalues(sample_beta_matrix(SeededStream(8200, i), 2000, 1.0)).values
                for i in range(20)]
     aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
@@ -108,8 +105,7 @@ def test_criterion_5_euler_lagrange_residual():
     for p, v in ((0.5, W0), (1.0, W0), (2.0, W0), (1.0, V_SMALL_QUARTIC)):
         grid = Grid(domain_auto(p, v), 2000)
         kernel = build_log_kernel(grid)
-        sol = solve_equilibrium(p, v, grid, tol=1e-8, kernel=kernel,
-                                raise_on_failure=True)
+        sol = solve_equilibrium(p, v, grid, tol=1e-8, raise_on_failure=True)
         gap = abs(sol.lam - (sol.free_energy
                              - p * kernel.quadratic_form(sol.density.values)))
         ok &= sol.converged and sol.residual <= 1e-8 and gap <= 1e-7
@@ -173,12 +169,11 @@ def test_criterion_9_metric_oracles():
         lp_worst = max(lp_worst, abs(bl_bv_distance(e1, e2) - bathtub_lp(e1, e2)))
 
     grid = Grid(8.0, 1600)
-    kernel = build_log_kernel(grid)
     fourier_worst = 0.0
     for mean, sd in ((0.4, 1.0), (-0.3, 1.3), (0.8, 0.7)):
         a = GridDensity.from_unnormalized(grid, np.exp(-(grid.x - mean) ** 2 / (2 * sd * sd)))
         b = GridDensity.from_unnormalized(grid, np.exp(-(grid.x + 0.2) ** 2 / 2.0))
-        gap = abs(log_energy_distance(a, b, kernel) - fourier_log_energy(a, b))
+        gap = abs(log_energy_distance(a, b) - fourier_log_energy(a, b))
         fourier_worst = max(fourier_worst, gap)
 
     rank_ok = True
@@ -221,9 +216,7 @@ def test_criterion_10_regularity_sweeps():
     solver_ok = solver_d2 <= solver_d1 / 2.5 + 1e-13
 
     fd_grid = Grid(domain_auto(1.3, W0), 1200)
-    fd_kernel = build_log_kernel(fd_grid)
-    nus = [dos_from_equilibrium(1.0, W0, fd_grid, h_p=hp, tol=1e-11,
-                                kernel=fd_kernel).nu.values
+    nus = [dos_from_equilibrium(1.0, W0, fd_grid, h_p=hp, tol=1e-11).nu.values
            for hp in (0.2, 0.1, 0.05)]
     fd_d1 = np.max(np.abs(nus[1] - nus[0]))
     fd_d2 = np.max(np.abs(nus[2] - nus[1]))

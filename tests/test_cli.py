@@ -202,12 +202,28 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     ("solve", {"p": 1.0}, {"workers": 0}),
     ("sample", {"source": "toda", "n": 3.7, "p": 1.0, "replicas": 2}, {}),
     ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": True}, {}),
+    # keys that the chosen sample source does not read
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "potential": QUARTIC}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "sweeps": 10}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "thin": 3}, {}),
+    ("sample", {"source": "beta", "n": 10, "p": 1.0, "replicas": 2,
+                "proposal_scales": [0.5, 0.5]}, {}),
+    ("sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2,
+                "dump_samples": True}, {}),
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+                "replicas": 7}, {}),
+    # dump_samples is a JSON boolean
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+                "dump_samples": "no"}, {}),
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+                "dump_samples": 1}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
-    rc, _ = run(tmp_path, command, cfg, **flags)
+    rc, out = run(tmp_path, command, cfg, **flags)
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 @pytest.mark.parametrize("names", [["bogus"], []])

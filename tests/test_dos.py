@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from todagibbs import (Grid, Potential, VarianceProfile,
-                       beta_mixture_check, build_log_kernel, d_lipschitz_sweep,
+                       beta_mixture_check, d_lipschitz_sweep,
                        domain_auto, dos_from_equilibrium, fc_convexity_check,
                        free_energy_relation_check, mixture_over_profile,
                        nu_density_relation_check, solve_equilibrium)
@@ -47,8 +47,7 @@ def test_dos_step_validation():
 
 def test_dos_step_refinement_second_order():
     grid = std_grid(1.3)
-    kernel = build_log_kernel(grid)
-    nus = [dos_from_equilibrium(1.0, W0, grid, h_p=hp, tol=1e-11, kernel=kernel).nu.values
+    nus = [dos_from_equilibrium(1.0, W0, grid, h_p=hp, tol=1e-11).nu.values
            for hp in (0.2, 0.1, 0.05)]
     d1 = np.max(np.abs(nus[1] - nus[0]))
     d2 = np.max(np.abs(nus[2] - nus[1]))
@@ -59,9 +58,8 @@ def test_dos_step_refinement_second_order():
 
 def test_constant_profile_equals_single_pressure():
     grid = std_grid(1.1)
-    kernel = build_log_kernel(grid)
-    mix = mixture_over_profile(VarianceProfile.constant(1.0), W0, grid, 9, kernel=kernel)
-    single = dos_from_equilibrium(1.0, W0, grid, kernel=kernel).nu
+    mix = mixture_over_profile(VarianceProfile.constant(1.0), W0, grid, 9)
+    single = dos_from_equilibrium(1.0, W0, grid).nu
     assert np.max(np.abs(mix.values - single.values)) <= 1e-8
 
 
@@ -73,10 +71,9 @@ def test_linear_profile_second_moment():
 
 def test_profile_node_doubling_converged():
     grid = std_grid(1.6, m=800)
-    kernel = build_log_kernel(grid)
     prof = VarianceProfile((0.8, 1.5))
-    a = mixture_over_profile(prof, W0, grid, 8, kernel=kernel)
-    b = mixture_over_profile(prof, W0, grid, 16, kernel=kernel)
+    a = mixture_over_profile(prof, W0, grid, 8)
+    b = mixture_over_profile(prof, W0, grid, 16)
     assert np.max(np.abs(a.values - b.values)) <= 1e-6
 
 

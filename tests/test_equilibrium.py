@@ -86,34 +86,31 @@ def test_kernel_apply_matches_dense():
 
 def test_free_energy_gaussian_closed_form():
     g = Grid(10.0, 4000)
-    k = build_log_kernel(g)
     rho = GridDensity.from_unnormalized(g, np.exp(-g.x ** 2 / 2.0))
     expected = 0.5 - 0.5 * math.log(2.0 * math.pi * math.e)
-    assert free_energy(rho, 0.0, W0, k) == pytest.approx(expected, abs=1e-6)
+    assert free_energy(rho, 0.0, W0) == pytest.approx(expected, abs=1e-6)
 
 
 def test_free_energy_constant_shift():
     g = Grid(8.0, 500)
-    k = build_log_kernel(g)
     rho = GridDensity.from_unnormalized(g, np.exp(-g.x ** 2))
     c = 0.7
     shifted = Potential.polynomial([c])
-    assert free_energy(rho, 1.0, shifted, k) - free_energy(rho, 1.0, W0, k) == \
+    assert free_energy(rho, 1.0, shifted) - free_energy(rho, 1.0, W0) == \
         pytest.approx(c, abs=1e-12)
 
 
 def test_free_energy_convex_along_segments():
     g = Grid(8.0, 400)
-    k = build_log_kernel(g)
     rng = np.random.default_rng(1)
     for _ in range(5):
         a = GridDensity.from_unnormalized(g, np.exp(-(g.x - rng.uniform(-1, 1)) ** 2))
         b = GridDensity.from_unnormalized(
             g, np.exp(-np.abs(g.x - rng.uniform(-1, 1)) / rng.uniform(0.5, 2)))
         mid = GridDensity(g, 0.5 * (a.values + b.values))
-        fm = free_energy(mid, 1.0, W0, k)
-        fa = free_energy(a, 1.0, W0, k)
-        fb = free_energy(b, 1.0, W0, k)
+        fm = free_energy(mid, 1.0, W0)
+        fa = free_energy(a, 1.0, W0)
+        fb = free_energy(b, 1.0, W0)
         assert fm <= 0.5 * (fa + fb) + 1e-12
 
 
@@ -146,7 +143,7 @@ def test_even_potential_gives_even_solution():
 def test_multiplier_identity_and_fixed_point():
     grid = Grid(domain_auto(1.0, W0), 1500)
     kernel = build_log_kernel(grid)
-    sol = solve_equilibrium(1.0, W0, grid, tol=1e-9, kernel=kernel)
+    sol = solve_equilibrium(1.0, W0, grid, tol=1e-9)
     # lambda = free energy - P * log-energy, a direct consequence of averaging
     # the stationarity relation against the minimizer
     log_energy = kernel.quadratic_form(sol.density.values)
@@ -174,11 +171,10 @@ def test_free_energy_matches_exact_partition_integral():
 
 def test_monotone_descent_of_free_energy():
     grid = Grid(domain_auto(2.0, W0), 800)
-    kernel = build_log_kernel(grid)
     # replay the iteration coarsely: free energy of successive solves with
     # decreasing tol must be nonincreasing toward the minimum
-    f_loose = solve_equilibrium(2.0, W0, grid, tol=1e-4, kernel=kernel).free_energy
-    f_tight = solve_equilibrium(2.0, W0, grid, tol=1e-10, kernel=kernel).free_energy
+    f_loose = solve_equilibrium(2.0, W0, grid, tol=1e-4).free_energy
+    f_tight = solve_equilibrium(2.0, W0, grid, tol=1e-10).free_energy
     assert f_tight <= f_loose + 1e-12
 
 

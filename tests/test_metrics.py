@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import exp1
 
 from todagibbs import (EmpiricalSpectralMeasure, Grid, GridDensity,
-                       SeededStream, bl_bv_distance, build_log_kernel,
-                       ks_distance, log_energy_distance, sample_chi,
-                       smooth_empirical)
+                       SeededStream, bl_bv_distance, ks_distance,
+                       log_energy_distance, sample_chi, smooth_empirical)
 
 from _oracles import bathtub_lp, fourier_log_energy
 
@@ -91,61 +90,55 @@ def test_triangle_inequality(a, b, c):
 
 def test_log_energy_zero_on_equal_inputs():
     g = Grid(6.0, 200)
-    k = build_log_kernel(g)
     rho = gaussian_density(g, 0.2, 0.8)
-    assert log_energy_distance(rho, rho, k) == 0.0
+    assert log_energy_distance(rho, rho) == 0.0
 
 
 def test_log_energy_positive_on_distinct_smooth_densities():
     g = Grid(6.0, 400)
-    k = build_log_kernel(g)
     a = gaussian_density(g, 0.0, 1.0)
     b = gaussian_density(g, 0.4, 1.1)
-    assert log_energy_distance(a, b, k) > 1e-12
+    assert log_energy_distance(a, b) > 1e-12
 
 
 def test_log_energy_matches_fourier_oracle():
     g = Grid(8.0, 1600)
-    k = build_log_kernel(g)
     pairs = [
         (gaussian_density(g, 0.4, 1.0), gaussian_density(g, -0.3, 1.3)),
         (gaussian_density(g, 0.0, 0.7),
          GridDensity.from_unnormalized(g, np.exp(-np.abs(g.x) / 0.9))),
     ]
     for a, b in pairs:
-        dk = log_energy_distance(a, b, k)
+        dk = log_energy_distance(a, b)
         df = fourier_log_energy(a, b)
         assert abs(dk - df) <= 1e-4
 
 
 def test_log_energy_quadratic_homogeneity():
     g = Grid(6.0, 300)
-    k = build_log_kernel(g)
     base = gaussian_density(g, 0.0, 1.0)
     bump = gaussian_density(g, 0.5, 0.6)
     delta = 0.2 * (bump.values - base.values)  # zero mass
-    d1 = log_energy_distance(GridDensity(g, base.values + delta), base, k)
+    d1 = log_energy_distance(GridDensity(g, base.values + delta), base)
     for c in (0.5, 2.0):
-        dc = log_energy_distance(GridDensity(g, base.values + c * delta), base, k)
+        dc = log_energy_distance(GridDensity(g, base.values + c * delta), base)
         assert dc == pytest.approx(abs(c) * d1, rel=1e-10)
 
 
 def test_log_energy_grid_mismatch_rejected():
     g1, g2 = Grid(6.0, 200), Grid(6.0, 240)
-    k = build_log_kernel(g1)
     with pytest.raises(ValueError):
-        log_energy_distance(gaussian_density(g1, 0, 1), gaussian_density(g2, 0, 1), k)
+        log_energy_distance(gaussian_density(g1, 0, 1), gaussian_density(g2, 0, 1))
 
 
 def test_half_norm_pairing_inequality():
     # |int f dDelta| <= 2 ||f||_{1/2} D for f = arctan; the half norm follows
     # from the closed-form transform of 1/(1+x^2), truncated at t_min
     g = Grid(8.0, 1200)
-    k = build_log_kernel(g)
     a = gaussian_density(g, 0.3, 1.0)
     b = gaussian_density(g, -0.2, 1.2)
     lhs = abs(float(np.sum(np.arctan(g.x) * (a.values - b.values)) * g.h))
-    d = log_energy_distance(a, b, k)
+    d = log_energy_distance(a, b)
     t_min = 1e-4
     half_norm_sq = 0.25 * exp1(2.0 * t_min)
     assert lhs <= 2.0 * math.sqrt(half_norm_sq) * d
@@ -156,10 +149,9 @@ def test_refinement_stability_of_distances():
     fine = coarse.refine()
     vals = {}
     for g in (coarse, fine):
-        k = build_log_kernel(g)
         a = gaussian_density(g, 0.4, 1.0)
         b = gaussian_density(g, -0.3, 1.3)
-        vals[g.m] = (bl_bv_distance(a, b), log_energy_distance(a, b, k))
+        vals[g.m] = (bl_bv_distance(a, b), log_energy_distance(a, b))
     assert abs(vals[800][0] - vals[1600][0]) <= 1e-3
     assert abs(vals[800][1] - vals[1600][1]) <= 1e-3
 
