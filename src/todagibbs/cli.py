@@ -87,6 +87,18 @@ def _positive_float(cfg: dict, key: str, default=None) -> float:
     return _value(cfg, key, default, float, _positive, "a positive number")
 
 
+# keys that every command reads; main() resolves them
+COMMON_KEYS = ("seed", "workers", "out")
+
+
+def _reject_unread(cfg: dict, what: str, keys) -> None:
+    """ConfigError for any key of ``cfg`` outside ``keys``, naming the allowed ones."""
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise ConfigError(f"{what} does not read {', '.join(unread)}; "
+                          f"allowed keys: {', '.join(sorted(keys))}")
+
+
 def _profile_from_config(cfg: dict) -> VarianceProfile:
     return _value(cfg, "profile", None, lambda raw: VarianceProfile(tuple(raw)),
                   lambda _: True, "a list of positive variances")
@@ -106,6 +118,7 @@ def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
     gspec = cfg.get("grid", {})
     if not isinstance(gspec, dict):
         raise ConfigError(f"grid must be an object, got {gspec!r}")
+    _reject_unread(gspec, "grid", ("m", "half_width"))
     m = _positive_int(gspec, "m", 2000, minimum=16)
     if gspec.get("half_width", "auto") == "auto":
         return Grid(domain_auto(p, w), m)
@@ -165,19 +178,23 @@ class RunDir:
 # -- sample ----------------------------------------------------------------
 
 
+# the keys each sample source reads beside COMMON_KEYS
+SAMPLE_KEYS = {
+    "toda": ("n", "p", "replicas"),
+    "beta": ("n", "p", "replicas"),
+    "profile": ("n", "profile", "replicas"),
+    "mcmc": ("n", "p", "potential", "sweeps", "thin", "proposal_scales", "dump_samples"),
+}
+
+
 def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     source = _value(cfg, "source", None, str,
-                    lambda s: s in ("toda", "beta", "profile", "mcmc"),
-                    "one of toda, beta, profile, mcmc")
+                    lambda s: s in SAMPLE_KEYS, "one of toda, beta, profile, mcmc")
+    _reject_unread(cfg, f"source {source}", ("source", *SAMPLE_KEYS[source], *COMMON_KEYS))
     # beta matrices are plain tridiagonal; the others are periodic
     n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
     # the pressure, or the variance profile that replaces it
     p = _profile_from_config(cfg) if source == "profile" else _positive_float(cfg, "p")
-    # the chain reads these keys and the independent draws read replicas
-    mcmc_keys = ("potential", "sweeps", "thin", "proposal_scales", "dump_samples")
-    unread = [key for key in (("replicas",) if source == "mcmc" else mcmc_keys) if key in cfg]
-    if unread:
-        raise ConfigError(f"source {source} does not read {', '.join(unread)}")
     if source == "mcmc":
         potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
@@ -234,16 +251,16 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+    _reject_unread(cfg, "solve", ("p", "potential", "grid", "tol", "max_iter", *COMMON_KEYS))
     p = _value(cfg, "p", None, float, lambda v: 0 <= v < math.inf, "a nonnegative number")
     w = _potential_from_config(cfg)
     grid = _grid_from_config(cfg, max(p, 0.5), w)
-    theta0 = _value(cfg, "theta0", 0.5, float, lambda v: 0 < v <= 1, "a number in (0, 1]")
     tol = _positive_float(cfg, "tol", 1e-8)
     max_iter = _value(cfg, "max_iter", 10000, _integer, lambda v: v >= 0,
                       "a nonnegative integer")
 
     run = RunDir(out_dir, "solve", cfg, seed, workers)
-    solution = solve_equilibrium(p, w, grid, theta0=theta0, tol=tol, max_iter=max_iter)
+    solution = solve_equilibrium(p, w, grid, tol=tol, max_iter=max_iter)
     run.write("density.csv", solution.density.to_csv_text())
     record = solution.to_json_dict(density_file="density.csv")
     record["second_moment"] = solution.density.moment(2)
@@ -259,10 +276,15 @@ def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 
 
 def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+    mode = "profile" if "profile" in cfg else "single"
+    mode_keys = ("profile", "n_nodes") if mode == "profile" else ("p", "h_p")
+    _reject_unread(cfg, f"dos in {mode} mode",
+                   ("potential", "grid", "tol", *mode_keys, *COMMON_KEYS))
     w = _potential_from_config(cfg)
-    if "profile" in cfg:
+    if mode == "profile":
         profile = _profile_from_config(cfg)
         grid = _grid_from_config(cfg, profile.maximum + 0.5, w)
+        n_nodes = _positive_int(cfg, "n_nodes", 15, minimum=5)
     else:
         p = _positive_float(cfg, "p")
         grid = _grid_from_config(cfg, p + 0.5, w)
@@ -270,11 +292,10 @@ def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
         if cfg.get("h_p") is not None:
             h_p = _value(cfg, "h_p", None, float, lambda v: 0 < v < p / 2,
                          f"a number in (0, p/2) = (0, {p / 2:g})")
-    n_nodes = _positive_int(cfg, "n_nodes", 15, minimum=5)
     tol = _positive_float(cfg, "tol", 1e-8)
 
     run = RunDir(out_dir, "dos", cfg, seed, workers)
-    if "profile" in cfg:
+    if mode == "profile":
         nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
         report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
     else:
@@ -308,6 +329,7 @@ def _load_csv(cfg: dict, key: str):
 
 
 def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+    _reject_unread(cfg, "compare", ("eigenvalues_csv", "density_csv", "bandwidth", *COMMON_KEYS))
     empirical = _load_csv(cfg, "eigenvalues_csv")
     density = _load_csv(cfg, "density_csv")
     if not isinstance(density, GridDensity):
@@ -352,49 +374,44 @@ def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 # -- checks ------------------------------------------------------------------
 
 
-CHECK_NAMES = ("beta_mixture", "free_energy", "nu_density", "d_lipschitz", "fc_convexity")
+# the keys each check reads beside p, potential, checks and COMMON_KEYS
+CHECK_KEYS = {
+    "beta_mixture": ("grid", "n_nodes", "tol"),
+    "free_energy": ("n", "sweeps", "tol"),
+    "nu_density": ("grid", "tol"),
+    "d_lipschitz": ("grid",),
+    "fc_convexity": ("grid", "tol"),
+}
 
 
 def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+    names = tuple(CHECK_KEYS)
+    which = _value(cfg, "checks", names, tuple,
+                   lambda chosen: bool(chosen) and all(name in names for name in chosen),
+                   f"a non-empty list of check names from {', '.join(names)}")
+    keys = {"p", "potential", "checks", *COMMON_KEYS}.union(*(CHECK_KEYS[c] for c in which))
+    _reject_unread(cfg, f"checks {', '.join(which)}", keys)
     p = _positive_float(cfg, "p", 1.0)
     w = _potential_from_config(cfg)
-    which = _value(cfg, "checks", CHECK_NAMES, tuple,
-                   lambda names: bool(names) and all(name in CHECK_NAMES for name in names),
-                   f"a non-empty list of check names from {', '.join(CHECK_NAMES)}")
     if "free_energy" in which and w.is_tabulated:
         raise ConfigError("the free_energy check needs a polynomial potential")
-    grid = _grid_from_config(cfg, p + 0.5, w)
-    n_nodes = _positive_int(cfg, "n_nodes", 21, minimum=5)
-    mixture_tol = _positive_float(cfg, "mixture_tol", 1e-2)
-    n = _positive_int(cfg, "n", 200, minimum=3)
-    sweeps = _positive_int(cfg, "sweeps", 500)
-    tol = _positive_float(cfg, "tol", 1e-8)
+    grid = _grid_from_config(cfg, p + 0.5, w) if "grid" in keys else None
+    tol = _positive_float(cfg, "tol", 1e-8) if "tol" in keys else None
+    n_nodes = _positive_int(cfg, "n_nodes", 21, minimum=5) if "n_nodes" in keys else None
+    n = _positive_int(cfg, "n", 200, minimum=3) if "n" in keys else None
+    sweeps = _positive_int(cfg, "sweeps", 500) if "sweeps" in keys else None
+    runners = {
+        "beta_mixture": lambda: beta_mixture_check(p, w, grid, n_nodes=n_nodes, tol=tol),
+        "free_energy": lambda: free_energy_relation_check(
+            p, w, n=n, mc_sweeps=sweeps, seed=seed, workers=workers, tol=tol),
+        "nu_density": lambda: nu_density_relation_check(p, w, grid, tol=tol),
+        "d_lipschitz": lambda: d_lipschitz_sweep(w=w, grid=grid),
+        "fc_convexity": lambda: fc_convexity_check(w=w, grid=grid, tol=tol),
+    }
 
     run = RunDir(out_dir, "checks", cfg, seed, workers)
-    bundle = {}
-    if "beta_mixture" in which:
-        rep = beta_mixture_check(p, w, grid, n_nodes=n_nodes, tol=tol)
-        rep["pass"] = bool(rep["sup_cdf_gap"] <= mixture_tol)
-        bundle["beta_mixture"] = rep
-    if "free_energy" in which:
-        rep = free_energy_relation_check(p, w, n=n, mc_sweeps=sweeps,
-                                         seed=seed, workers=workers, tol=tol)
-        rep["pass"] = bool(rep["gap"] <= max(3.0 * rep["stderr"], 0.02))
-        bundle["free_energy"] = rep
-    if "nu_density" in which:
-        rep = nu_density_relation_check(p, w, grid, tol=tol)
-        rep["pass"] = bool(abs(rep["normalization"] - 1.0) <= 1e-3
-                           and rep["min_density_factor"] >= -1e-6)
-        bundle["nu_density"] = rep
-    if "d_lipschitz" in which:
-        ratios = d_lipschitz_sweep(w=w, grid=grid)
-        ok = all(max(r) <= 1.5 * r[0] + 1e-9 for r in ratios.values())
-        bundle["d_lipschitz"] = {"ratios": {str(k): v for k, v in ratios.items()},
-                                 "pass": bool(ok)}
-    if "fc_convexity" in which:
-        rep = fc_convexity_check(w=w, grid=grid, tol=tol)
-        rep["pass"] = bool(rep["min_second_difference"] >= -1e-6)
-        bundle["fc_convexity"] = rep
+    # each check returns its own verdict ("pass") and the bound it was judged against
+    bundle = {name: runners[name]() for name in names if name in which}
     bundle["run"] = run.echo
     run.write("checks.json", bundle)
     run.finish()

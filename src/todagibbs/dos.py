@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (EquilibriumSolution, Grid, GridDensity, build_log_kernel,
-                          domain_auto, solve_equilibrium)
+from .equilibrium import Grid, GridDensity, build_log_kernel, domain_auto, solve_equilibrium
 from .matrices import trace_potential
 from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
@@ -40,6 +39,16 @@ NEGATIVITY_CEILING = 1e-3
 # beta_mixture_check clamps quadrature nodes s below this
 MIXTURE_S_MIN = 1e-3
 
+# Verdict bounds of the five checks; each report carries "pass" and "bound".
+MIXTURE_BOUND = 1e-2            # sup CDF gap between mu_P and the mixture
+FREE_ENERGY_FLOOR = 0.02        # gap <= max(FREE_ENERGY_STDERRS * stderr, floor)
+FREE_ENERGY_STDERRS = 3.0
+NU_NORMALIZATION_BOUND = 1e-3   # |normalization - 1|
+NU_FACTOR_FLOOR = -1e-6         # smallest density factor on the support of mu
+LIPSCHITZ_GROWTH = 1.5          # max ratio <= growth * first ratio + slack
+LIPSCHITZ_SLACK = 1e-9
+CONVEXITY_FLOOR = -1e-6         # smallest second difference of F_C
+
 
 class DosStepError(ValueError):
     """Differencing produced material negative mass; refine h_P or the grid."""
@@ -49,13 +58,9 @@ class DosStepError(ValueError):
 class DosResult:
     """Density of states with its finite-difference provenance."""
 
-    p: float
-    potential: Potential
     nu: GridDensity
     fd_step: float
     negativity: float
-    lower: EquilibriumSolution
-    upper: EquilibriumSolution
 
 
 def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
@@ -84,8 +89,13 @@ def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
             f"{NEGATIVITY_CEILING:.1e}; reduce h_p or refine the grid"
         )
     nu = GridDensity.from_unnormalized(grid, raw)
-    return DosResult(p=p, potential=w, nu=nu, fd_step=h_p, negativity=negativity,
-                     lower=lower, upper=upper)
+    return DosResult(nu=nu, fd_step=h_p, negativity=negativity)
+
+
+def gauss_legendre_unit(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]: the rule of every parameter integral."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int,
@@ -96,9 +106,8 @@ def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int,
     """
     if n_nodes < 5:
         raise ValueError("need at least 5 quadrature nodes")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     mix = np.zeros(grid.m)
-    for s, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+    for s, wt in zip(*gauss_legendre_unit(n_nodes)):
         result = dos_from_equilibrium(float(profile(s)), w, grid, tol=tol)
         mix += wt * result.nu.values
     return GridDensity.from_unnormalized(grid, mix)
@@ -121,6 +130,8 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
         "s_min": MIXTURE_S_MIN,
         "second_moment_mixture": mixture.moment(2),
         "second_moment_mu": mu.moment(2),
+        "bound": MIXTURE_BOUND,
+        "pass": bool(gap <= MIXTURE_BOUND),
     }
 
 
@@ -157,8 +168,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
 
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by MCMC
-         under the tilted potential alpha V (trapezoid over the alpha nodes,
-         stderr from replica spread).
+         under the tilted potential alpha V (Gauss-Legendre over the alpha
+         nodes, stderr from replica spread).
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) by central differences of
          equilibrium free energies, step min(1e-2, P/10) so the lower
          pressure stays positive.
@@ -169,55 +180,54 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
         raise ValueError("need at least 2 replicas for a spread-based stderr")
     if w.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "stderr": 0.0, "gap": 0.0,
-                "min_ess": float("inf"), "reliable": True, "alphas": [], "node_means": []}
+                "min_ess": float("inf"), "reliable": True, "alphas": [], "node_means": [],
+                "node_stderr": [], "node_ess": [], "node_acceptance": [],
+                "bound": FREE_ENERGY_FLOOR, "pass": True}
     if not w.is_polynomial:
         raise TypeError("thermodynamic integration needs a polynomial potential")
     fd_step = min(1e-2, p / 10.0)
 
-    alphas = np.linspace(0.0, 1.0, n_alpha)
-    tasks = []
-    for k, alpha in enumerate(alphas):
-        for r in range(replicas):
-            tasks.append((seed, k * replicas + r, n, p, w.to_dict(), float(alpha),
-                          mc_sweeps, thin))
+    alphas, weights = gauss_legendre_unit(n_alpha)
+    tasks = [(seed, k * replicas + r, n, p, w.to_dict(), float(alpha), mc_sweeps, thin)
+             for k, alpha in enumerate(alphas) for r in range(replicas)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ti_node_task, tasks))
     else:
         results = [_ti_node_task(t) for t in tasks]
 
-    node_means = np.zeros(n_alpha)
-    node_se = np.zeros(n_alpha)
-    min_ess = float("inf")
-    for k in range(n_alpha):
-        vals = np.array([results[k * replicas + r][0] for r in range(replicas)])
-        node_means[k] = vals.mean()
-        node_se[k] = vals.std(ddof=1) / np.sqrt(replicas)
-        ess_node = sum(results[k * replicas + r][1] for r in range(replicas))
-        min_ess = min(min_ess, ess_node)
+    nodes = [results[k * replicas:(k + 1) * replicas] for k in range(n_alpha)]
+    values = np.array([[res[0] for res in node] for node in nodes])
+    node_means = values.mean(axis=1)
+    node_se = values.std(axis=1, ddof=1) / np.sqrt(replicas)
+    node_ess = [float(sum(res[1] for res in node)) for node in nodes]
+    node_acceptance = [{kind: float(np.mean([res[2][kind] for res in node]))
+                        for kind in node[0][2]} for node in nodes]
 
-    trap_w = np.full(n_alpha, 1.0 / (n_alpha - 1))
-    trap_w[0] = trap_w[-1] = 0.5 / (n_alpha - 1)
-    lhs = float(-np.sum(trap_w * node_means))
-    stderr = float(np.sqrt(np.sum((trap_w * node_se) ** 2)))
+    lhs = float(-np.sum(weights * node_means))
+    stderr = float(np.sqrt(np.sum((weights * node_se) ** 2)))
 
     if grid is None:
-        half = domain_auto(p + fd_step, Potential.zero())
-        grid = Grid(half, 2000)
+        grid = Grid(domain_auto(p + fd_step, Potential.zero()), 2000)
     shift_up = coulomb_free_energy_shift(p + fd_step, w, grid, tol=tol)
     shift_dn = coulomb_free_energy_shift(p - fd_step, w, grid, tol=tol)
     rhs = float(((p + fd_step) * shift_up - (p - fd_step) * shift_dn) / (2.0 * fd_step))
+    bound = max(FREE_ENERGY_STDERRS * stderr, FREE_ENERGY_FLOOR)
 
     return {
         "lhs": lhs,
         "rhs": rhs,
         "stderr": stderr,
         "gap": abs(lhs - rhs),
-        "min_ess": float(min_ess),
-        "reliable": bool(min_ess >= 50.0),
+        "min_ess": min(node_ess),
+        "reliable": bool(min(node_ess) >= 50.0),
         "alphas": alphas.tolist(),
         "node_means": node_means.tolist(),
         "node_stderr": node_se.tolist(),
+        "node_ess": node_ess,
+        "node_acceptance": node_acceptance,
+        "bound": bound,
+        "pass": bool(abs(lhs - rhs) <= bound),
     }
 
 
@@ -244,6 +254,9 @@ def nu_density_relation_check(p: float, w: Potential, grid: Grid, tol: float = 1
         "sup_residual": residual,
         "normalization": normalization,
         "min_density_factor": min_factor,
+        "bound": {"normalization": NU_NORMALIZATION_BOUND, "min_density_factor": NU_FACTOR_FLOOR},
+        "pass": bool(abs(normalization - 1.0) <= NU_NORMALIZATION_BOUND
+                     and min_factor >= NU_FACTOR_FLOOR),
     }
 
 
@@ -251,29 +264,28 @@ LIPSCHITZ_PRESSURES = (0.5, 1.0, 2.0)
 LIPSCHITZ_DELTAS = (1e-1, 1e-2, 1e-3)
 
 
-def d_lipschitz_sweep(w: Potential | None = None, grid: Grid | None = None) -> dict:
+def d_lipschitz_sweep(w: Potential = Potential.zero(), grid: Grid | None = None) -> dict:
     """Secant ratios D(mu_P, mu_{P+delta}) / delta as delta shrinks.
 
     P runs over LIPSCHITZ_PRESSURES and delta over LIPSCHITZ_DELTAS; each
     solve runs to tol 1e-9.
     """
-    if w is None:
-        w = Potential.zero()
     if grid is None:
         grid = Grid(domain_auto(max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS), w), 2000)
-    out = {}
+    ratios = {}
     for p in LIPSCHITZ_PRESSURES:
         base = solve_equilibrium(p, w, grid, tol=1e-9, raise_on_failure=True).density
-        ratios = []
+        ratios[p] = []
         for delta in LIPSCHITZ_DELTAS:
             shifted = solve_equilibrium(p + delta, w, grid, tol=1e-9,
                                         raise_on_failure=True).density
-            ratios.append(log_energy_distance(base, shifted) / delta)
-        out[p] = ratios
-    return out
+            ratios[p].append(log_energy_distance(base, shifted) / delta)
+    bound = {p: LIPSCHITZ_GROWTH * r[0] + LIPSCHITZ_SLACK for p, r in ratios.items()}
+    return {"ratios": ratios, "bound": bound,
+            "pass": all(max(r) <= bound[p] for p, r in ratios.items())}
 
 
-def fc_convexity_check(w: Potential | None = None, grid: Grid | None = None,
+def fc_convexity_check(w: Potential = Potential.zero(), grid: Grid | None = None,
                        tol: float = 1e-8) -> dict:
     """Discrete convexity of the Coulomb free energy P -> F_C on P = 0.4, 0.6, ..., 2.4.
 
@@ -281,8 +293,6 @@ def fc_convexity_check(w: Potential | None = None, grid: Grid | None = None,
     convexity in P is the finite-N variance inequality surviving the limit.
     """
     p_grid = np.arange(0.4, 2.401, 0.2)
-    if w is None:
-        w = Potential.zero()
     if grid is None:
         grid = Grid(domain_auto(float(p_grid[-1]), w), 2000)
     f_c = np.array([
@@ -295,4 +305,6 @@ def fc_convexity_check(w: Potential | None = None, grid: Grid | None = None,
         "free_energies": f_c.tolist(),
         "second_differences": second.tolist(),
         "min_second_difference": float(np.min(second)),
+        "bound": CONVEXITY_FLOOR,
+        "pass": bool(np.min(second) >= CONVEXITY_FLOOR),
     }

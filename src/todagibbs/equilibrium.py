@@ -44,11 +44,7 @@ class DomainTooSmallError(ValueError):
 
 
 class NonConvergedError(RuntimeError):
-    """Fixed-point iteration hit max_iter; carries the partial solution."""
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
+    """Fixed-point iteration hit max_iter (raise_on_failure=False returns the partial solution)."""
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,6 @@ class GridDensity:
                                 [self.grid.x[-1] + self.grid.h / 2.0]))
         cums = np.concatenate(([0.0], np.cumsum(self.values) * self.grid.h))
         return edges, cums
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -243,13 +235,12 @@ def _residual_and_lambda(wx, phi, rho, p, h):
     return resid, lam
 
 
-def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
-                      tol: float = 1e-8, max_iter: int = 10000,
+def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max_iter: int = 10000,
                       raise_on_failure: bool = False) -> EquilibriumSolution:
     """Minimize the free-energy functional by damped fixed-point iteration.
 
     The iterate is rho <- (1 - theta) rho + theta T(rho) with
-    T(rho) = normalize(exp(-W + 2P U_rho)); theta starts at theta0 and halves
+    T(rho) = normalize(exp(-W + 2P U_rho)); theta starts at 0.5 and halves
     whenever the free energy would increase.  Convergence is declared when the
     stationarity defect  sup |W - 2P U_rho + log rho - lambda|  drops below
     tol on cells above the density floor.
@@ -261,8 +252,6 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
         raise ValueError("pressure must be nonnegative")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not 0 < theta0 <= 1:
-        raise ValueError("theta0 must lie in (0, 1]")
     _warn_weak_log_margin(p, w)
 
     kernel = build_log_kernel(grid)
@@ -272,7 +261,7 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
     rho = _normalized_exp(-wx, h)
     phi = kernel.log_potential(rho)
     f_curr = _free_energy_parts(wx, phi, rho, p, h)
-    theta = theta0
+    theta = 0.5
     residual, lam = np.inf, 0.0
     iterations = 0
     converged = False
@@ -309,8 +298,7 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, theta0: float = 0.5,
         logger.warning("equilibrium solve not converged: residual %.3e after %d iterations",
                        residual, iterations)
         if raise_on_failure:
-            raise NonConvergedError(
-                f"residual {residual:.3e} after {iterations} iterations", solution)
+            raise NonConvergedError(f"residual {residual:.3e} after {iterations} iterations")
     return solution
 
 

@@ -71,10 +71,6 @@ class PeriodicJacobiMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag)))
-
     def to_dense(self) -> np.ndarray:
         n = self.n
         m = np.diag(self.diag)
@@ -127,7 +123,7 @@ class EmpiricalSpectralMeasure:
 
 
 def _require_finite(m: PeriodicJacobiMatrix) -> None:
-    if not m.is_finite:
+    if not (np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.offdiag))):
         raise InvalidMatrixError("matrix has non-finite entries")
 
 

@@ -218,12 +218,9 @@ class Potential:
         return c
 
     def require_confining(self) -> None:
-        if self.kind == "zero":
-            return
-        if self.kind == "polynomial":
-            # even degree and positive leading coefficient already enforced
-            return
-        self.confinement_margin()
+        # a polynomial's even degree and positive leading coefficient already confine
+        if self.is_tabulated:
+            self.confinement_margin()
 
     # -- serialization ---------------------------------------------------
 

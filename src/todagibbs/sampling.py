@@ -172,7 +172,6 @@ class McmcReport:
     ess: float
     sweeps: int
     trace_sq_series: np.ndarray = field(repr=False, default=None)
-    trace_v_series: np.ndarray = field(repr=False, default=None)
     proposal_scales: tuple = (0.0, 0.0)
 
     def __post_init__(self):
@@ -260,13 +259,12 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
 
 
 def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
-    samples, t2_series, tv_series = [], [], []
+    samples, t2_series = [], []
     for sweep in range(sweeps):
         diag, off = _exact_base_draw(rng, n, p)
         if sweep < burn:
             continue
         t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
-        tv_series.append(0.0)
         if (sweep - burn) % thin == 0:
             samples.append(PeriodicJacobiMatrix(diag, off, periodic=True))
     return McmcReport(
@@ -276,27 +274,22 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
         ess=float(len(samples)),
         sweeps=sweeps,
         trace_sq_series=np.asarray(t2_series),
-        trace_v_series=np.asarray(tv_series),
         proposal_scales=(0.0, 0.0),
     )
-
-
-def _full_trace_v(diag, off, v: Potential) -> float:
-    """Tr V(M) of the periodic matrix (diag, off)."""
-    return diag.size * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
 
 
 def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> McmcReport:
     diag, off = _exact_base_draw(rng, n, p)
     polynomial = v.is_polynomial
-    trv = _full_trace_v(diag, off, v)
+    # Tr V(M) of the current state, which the tabulated path differences against
+    trv = n * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
 
     scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
     accepted = dict.fromkeys(scales, 0)
     proposed = dict.fromkeys(scales, 0)
     adapt_interval = 25
 
-    samples, t2_series, tv_series = [], [], []
+    samples, t2_series = [], []
 
     def delta_tr(site, kind, new_value):
         if polynomial:
@@ -344,11 +337,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
                 proposed = dict.fromkeys(scales, 0)
             continue
 
-        # rounding drift guard for the running trace
-        if polynomial and (sweep % 500 == 499):
-            trv = _full_trace_v(diag, off, v)
         t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
-        tv_series.append(trv / n)
         if (sweep - burn) % thin == 0:
             samples.append(PeriodicJacobiMatrix(diag.copy(), off.copy(), periodic=True))
 
@@ -365,7 +354,6 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
         ess=min(ess, float(len(samples))),
         sweeps=sweeps,
         trace_sq_series=t2_series,
-        trace_v_series=np.asarray(tv_series),
         proposal_scales=(scales["diag"], scales["offdiag"]),
     )
 

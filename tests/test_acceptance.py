@@ -199,7 +199,7 @@ def test_criterion_9_metric_oracles():
 
 
 def test_criterion_10_regularity_sweeps():
-    ratios = d_lipschitz_sweep(grid=Grid(domain_auto(2.2, W0), 1500))
+    ratios = d_lipschitz_sweep(grid=Grid(domain_auto(2.2, W0), 1500))["ratios"]
     ratio_ok = all(max(r) <= 1.5 * r[0] + 1e-9 for r in ratios.values())
 
     convexity = fc_convexity_check(grid=Grid(domain_auto(2.5, W0), 1500))

@@ -152,6 +152,8 @@ def test_checks_bundle_small(tmp_path):
     assert bundle["beta_mixture"]["pass"]
     assert bundle["free_energy"]["lhs"] == 0.0 and bundle["free_energy"]["rhs"] == 0.0
     assert bundle["nu_density"]["pass"]
+    for name in cfg["checks"]:
+        assert isinstance(bundle[name]["pass"], bool) and "bound" in bundle[name]
 
 
 def test_mcmc_sample_source(tmp_path):
@@ -217,6 +219,17 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
                 "dump_samples": "no"}, {}),
     ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "dump_samples": 1}, {}),
+    # keys that the command, in its mode, does not read
+    ("dos", {"profile": [0.5, 1.5], "p": 7.0, "h_p": 0.3, "grid": {"m": 100}, "n_nodes": 5}, {}),
+    ("dos", {"p": 1.0, "grid": {"m": 100}, "n_nodes": 7}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "profile": [1.0, 2.0]}, {}),
+    ("sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2, "p": 1.0},
+     {}),
+    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "replicass": 5}, {}),
+    ("solve", {"p": 1.0, "grid": {"m": 100, "mm": 7}}, {}),
+    ("checks", {"checks": ["fc_convexity"], "grid": {"m": 100}, "n": 30, "sweeps": 12,
+                "mixture_tol": 0.5, "n_nodes": 9}, {}),
+    ("checks", {"checks": ["beta_mixture"], "grid": {"m": 100}, "mixture_tol": 0.5}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, out = run(tmp_path, command, cfg, **flags)

@@ -1,9 +1,10 @@
-"""Property test: malformed configs end in exit 0, 1 or 2 and never raise.
+"""Property tests: malformed configs end in exit 0, 1 or 2 and never raise.
 
 Each example starts from a small valid config of one command, then drops some
 keys and sets others (from that command's keys) to null, strings, lists,
 booleans, +-inf, NaN, small numbers or a few potential and grid specs.  Sizes
-stay at or below 40 so that a run that is accepted stays fast.
+stay at or below 40 so that a run that is accepted stays fast.  A second test
+adds one key that the command does not read and requires exit 1.
 """
 
 import json
@@ -46,7 +47,7 @@ def _bases(eig_csv, density_csv):
         "solve": [{"p": 1.0, "grid": grid}],
         "dos": [{"p": 1.0, "grid": grid}, {"profile": [0.5, 1.5], "grid": grid, "n_nodes": 5}],
         "compare": [{"eigenvalues_csv": eig_csv, "density_csv": density_csv}],
-        "checks": [{"p": 1.0, "grid": grid, "n": 8, "sweeps": 8, "n_nodes": 5,
+        "checks": [{"p": 1.0, "grid": grid, "n_nodes": 5,
                     "checks": ["beta_mixture", "nu_density", "d_lipschitz", "fc_convexity"]}],
     }
 
@@ -54,11 +55,10 @@ def _bases(eig_csv, density_csv):
 KEYS = {
     "sample": ["source", "n", "p", "profile", "replicas", "potential", "sweeps", "thin",
                "proposal_scales", "dump_samples", "seed"],
-    "solve": ["p", "potential", "grid", "theta0", "tol", "max_iter", "seed"],
+    "solve": ["p", "potential", "grid", "tol", "max_iter", "seed"],
     "dos": ["p", "profile", "potential", "grid", "h_p", "n_nodes", "tol"],
     "compare": ["eigenvalues_csv", "density_csv", "bandwidth"],
-    "checks": ["p", "potential", "checks", "grid", "n_nodes", "mixture_tol", "n", "sweeps",
-               "tol"],
+    "checks": ["p", "potential", "checks", "grid", "n_nodes", "n", "sweeps", "tol"],
 }
 
 
@@ -90,6 +90,15 @@ def inputs(tmp_path_factory):
     return str(eig_csv), str(root / "mu" / "density.csv")
 
 
+def _run(command, cfg):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        return main([command, "--config", path, "--out", os.path.join(work, "out"),
+                     "--workers", "1"])
+
+
 @pytest.mark.parametrize("command", sorted(KEYS))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -101,12 +110,7 @@ def test_malformed_config_exits_0_1_or_2(inputs, command, data):
     for key in data.draw(st.sets(st.sampled_from(KEYS[command]), max_size=2)):
         cfg[key] = data.draw(_value_for(key, eig_csv, density_csv), label=key)
 
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        rc = main([command, "--config", path, "--out", os.path.join(work, "out"),
-                   "--workers", "1"])
+    rc = _run(command, cfg)
     assert rc in (0, 1, 2)
     source = cfg.get("source")
     if command == "sample" and source in ("toda", "beta", "profile", "mcmc"):
@@ -116,3 +120,19 @@ def test_malformed_config_exits_0_1_or_2(inputs, command, data):
             assert rc == 1
         if source == "mcmc" and not isinstance(cfg.get("dump_samples", False), bool):
             assert rc == 1
+
+
+# a key of another command, or a made-up one; none of the base configs reads it
+UNREAD_KEY = st.one_of(st.sampled_from(["source", "replicas", "sweeps", "h_p", "max_iter",
+                                        "bandwidth", "theta0", "mixture_tol"]),
+                       st.text(min_size=1, max_size=8).map(lambda key: "x_" + key))
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_unread_key_exits_1(inputs, command, data):
+    cfg = dict(data.draw(st.sampled_from(_bases(*inputs)[command])))
+    key = data.draw(UNREAD_KEY.filter(lambda k: k not in KEYS[command]), label="key")
+    cfg[key] = data.draw(JUNK, label="value")
+    assert _run(command, cfg) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from todagibbs import dos
 from todagibbs import (Grid, Potential, VarianceProfile,
                        beta_mixture_check, d_lipschitz_sweep,
                        domain_auto, dos_from_equilibrium, fc_convexity_check,
@@ -117,6 +118,25 @@ def test_free_energy_node_doubling_within_stderr():
     assert abs(a["lhs"] - b["lhs"]) <= math.hypot(a["stderr"], b["stderr"]) * 1.5
 
 
+def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
+    # a steep degree-12 integrand: 8 Gauss-Legendre nodes integrate it exactly,
+    # an 8-node trapezoid misses by about 0.06
+    def integrand(alpha):
+        return 3.0 * (1.0 - alpha) ** 12 + alpha
+
+    def node_task(args):
+        return integrand(args[5]), 100.0, {"diag": 0.25, "offdiag": 0.75}
+
+    monkeypatch.setattr(dos, "_ti_node_task", node_task)
+    v = Potential.polynomial([0, 0, 0, 0, 0.1])
+    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10, workers=1,
+                                     grid=Grid(domain_auto(1.1, W0), 200))
+    assert rep["stderr"] == 0.0
+    assert abs(rep["lhs"] + (3.0 / 13.0 + 0.5)) <= 1e-12
+    assert rep["node_ess"] == [400.0] * 8
+    assert rep["node_acceptance"] == [{"diag": 0.25, "offdiag": 0.75}] * 8
+
+
 def test_free_energy_check_small_pressure_default_step():
     # the default finite-difference step shrinks with P, so P - step stays positive
     v = Potential.polynomial([0, 0, 0, 0, 0.02])
@@ -144,7 +164,7 @@ def test_nu_density_relation():
 # -- regularity in the pressure ----------------------------------------------------------
 
 def test_d_lipschitz_ratios_bounded():
-    ratios = d_lipschitz_sweep(grid=Grid(domain_auto(2.2, W0), 1000))
+    ratios = d_lipschitz_sweep(grid=Grid(domain_auto(2.2, W0), 1000))["ratios"]
     for p, r in ratios.items():
         assert max(r) <= 1.5 * r[0] + 1e-9
         assert all(np.isfinite(r))

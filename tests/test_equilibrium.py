@@ -40,7 +40,7 @@ def test_density_csv_round_trip(tmp_path):
     g = Grid(4.0, 64)
     rho = GridDensity.from_unnormalized(g, np.exp(-g.x ** 2))
     path = tmp_path / "rho.csv"
-    rho.to_csv(path)
+    path.write_text(rho.to_csv_text())
     again = GridDensity.from_csv(path)
     assert again.grid == g
     assert np.allclose(again.values, rho.values, rtol=1e-15)
