@@ -20,8 +20,8 @@ from .matrices import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        PeriodicJacobiMatrix, dump_matrix, eigenvalues,
                        load_matrix, local_trace_delta, trace_potential,
                        trace_power)
-from .metrics import (CdfOnGrid, bl_bv_distance, ks_distance,
-                      log_energy_distance, smooth_empirical)
+from .metrics import (bl_bv_distance, ks_distance, log_energy_distance,
+                      smooth_empirical)
 from .potentials import NonConfiningError, Potential, PotentialDomainError
 from .sampling import (McmcReport, SeededStream, VarianceProfile,
                        integrated_autocorr_time, mcmc_toda, replica_map,
@@ -45,6 +45,5 @@ __all__ = [
     "beta_mixture_check", "free_energy_relation_check",
     "nu_density_relation_check", "coulomb_free_energy_shift",
     "d_lipschitz_sweep", "fc_convexity_check",
-    "CdfOnGrid", "bl_bv_distance", "ks_distance", "log_energy_distance",
-    "smooth_empirical",
+    "bl_bv_distance", "ks_distance", "log_energy_distance", "smooth_empirical",
 ]

@@ -25,7 +25,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dos import (DosStepError, beta_mixture_check, d_lipschitz_sweep,
+from .dos import (CONVEXITY_PRESSURES, LIPSCHITZ_DELTAS, LIPSCHITZ_PRESSURES,
+                  DosStepError, beta_mixture_check, d_lipschitz_sweep,
                   dos_from_equilibrium, fc_convexity_check,
                   free_energy_relation_check, mixture_over_profile,
                   nu_density_relation_check)
@@ -395,7 +396,11 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     w = _potential_from_config(cfg)
     if "free_energy" in which and w.is_tabulated:
         raise ConfigError("the free_energy check needs a polynomial potential")
-    grid = _grid_from_config(cfg, p + 0.5, w) if "grid" in keys else None
+    # an auto grid is sized for the largest pressure any selected check solves at
+    top = {"d_lipschitz": max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS),
+           "fc_convexity": max(CONVEXITY_PRESSURES)}
+    grid_p = max([p + 0.5] + [top[name] for name in which if name in top])
+    grid = _grid_from_config(cfg, grid_p, w) if "grid" in keys else None
     tol = _positive_float(cfg, "tol", 1e-8) if "tol" in keys else None
     n_nodes = _positive_int(cfg, "n_nodes", 21, minimum=5) if "n_nodes" in keys else None
     n = _positive_int(cfg, "n", 200, minimum=3) if "n" in keys else None

@@ -262,6 +262,7 @@ def nu_density_relation_check(p: float, w: Potential, grid: Grid, tol: float = 1
 
 LIPSCHITZ_PRESSURES = (0.5, 1.0, 2.0)
 LIPSCHITZ_DELTAS = (1e-1, 1e-2, 1e-3)
+CONVEXITY_PRESSURES = tuple(np.arange(0.4, 2.401, 0.2).tolist())  # 0.4, 0.6, ..., 2.4
 
 
 def d_lipschitz_sweep(w: Potential = Potential.zero(), grid: Grid | None = None) -> dict:
@@ -287,21 +288,20 @@ def d_lipschitz_sweep(w: Potential = Potential.zero(), grid: Grid | None = None)
 
 def fc_convexity_check(w: Potential = Potential.zero(), grid: Grid | None = None,
                        tol: float = 1e-8) -> dict:
-    """Discrete convexity of the Coulomb free energy P -> F_C on P = 0.4, 0.6, ..., 2.4.
+    """Discrete convexity of the Coulomb free energy P -> F_C on CONVEXITY_PRESSURES.
 
     F_C is the log-partition limit, i.e. minus the functional minimum; its
     convexity in P is the finite-N variance inequality surviving the limit.
     """
-    p_grid = np.arange(0.4, 2.401, 0.2)
     if grid is None:
-        grid = Grid(domain_auto(float(p_grid[-1]), w), 2000)
+        grid = Grid(domain_auto(max(CONVEXITY_PRESSURES), w), 2000)
     f_c = np.array([
-        -solve_equilibrium(float(p), w, grid, tol=tol, raise_on_failure=True).free_energy
-        for p in p_grid
+        -solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).free_energy
+        for p in CONVEXITY_PRESSURES
     ])
     second = f_c[2:] - 2.0 * f_c[1:-1] + f_c[:-2]
     return {
-        "p_grid": p_grid.tolist(),
+        "p_grid": list(CONVEXITY_PRESSURES),
         "free_energies": f_c.tolist(),
         "second_differences": second.tolist(),
         "min_second_difference": float(np.min(second)),

@@ -20,7 +20,6 @@ Two problem-specific metrics plus standard comparison statistics:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,69 +29,42 @@ from .matrices import EmpiricalSpectralMeasure
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CdfOnGrid:
-    """CDF of a probability measure, tabulated at its breakpoints.
-
-    ``step`` marks atomic measures (CDF jumps at breakpoints); otherwise the
-    CDF is piecewise linear between breakpoints.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    step: bool
-
-    def __post_init__(self):
-        if self.values[-1] < 1.0 - 1e-9 or np.any(np.diff(self.values) < -1e-12):
-            raise ValueError("CDF must be nondecreasing up to 1")
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Right-continuous evaluation F(x)."""
-        if self.step:
-            idx = np.searchsorted(self.breakpoints, xs, side="right")
-            padded = np.concatenate(([0.0], self.values))
-            return padded[idx]
-        return np.interp(xs, self.breakpoints, self.values, left=0.0, right=1.0)
-
-    def evaluate_left(self, xs: np.ndarray) -> np.ndarray:
-        """Left limit F(x-)."""
-        if self.step:
-            idx = np.searchsorted(self.breakpoints, xs, side="left")
-            padded = np.concatenate(([0.0], self.values))
-            return padded[idx]
-        return self.evaluate(xs)
-
-
-def cdf_of(measure) -> CdfOnGrid:
+def _breakpoints(measure) -> np.ndarray:
+    """Atoms of an empirical measure, cell edges of a grid density."""
     if isinstance(measure, EmpiricalSpectralMeasure):
-        vals = measure.values
-        uniq, counts = np.unique(vals, return_counts=True)
-        cums = np.cumsum(counts) / vals.size
-        return CdfOnGrid(uniq, cums, step=True)
+        return measure.values
     if isinstance(measure, GridDensity):
-        edges, cums = measure.cdf_breakpoints()
-        cums = np.minimum(cums / cums[-1], 1.0)  # exact unit mass at the edge
-        return CdfOnGrid(edges, cums, step=False)
+        return measure.cdf_breakpoints()[0]
     raise TypeError(f"not a probability measure: {type(measure).__name__}")
 
 
-def _merged_breakpoints(f1: CdfOnGrid, f2: CdfOnGrid) -> np.ndarray:
-    return np.union1d(f1.breakpoints, f2.breakpoints)
+def _cdf(measure, pts: np.ndarray, side: str) -> np.ndarray:
+    """CDF at pts: F(x) for side="right", its left limit F(x-) for side="left"."""
+    if isinstance(measure, EmpiricalSpectralMeasure):
+        return np.searchsorted(measure.values, pts, side) / measure.values.size
+    if isinstance(measure, GridDensity):
+        edges, cums = measure.cdf_breakpoints()
+        cums = np.minimum(cums / cums[-1], 1.0)  # exact unit mass at the edge
+        return np.interp(pts, edges, cums, left=0.0, right=1.0)
+    raise TypeError(f"not a probability measure: {type(measure).__name__}")
+
+
+def _cdf_gaps(mu, nu):
+    """Merged breakpoints, with F_mu - F_nu there and its left limits there."""
+    pts = np.union1d(_breakpoints(mu), _breakpoints(nu))
+    gap = _cdf(mu, pts, "right") - _cdf(nu, pts, "right")
+    gap_left = _cdf(mu, pts, "left") - _cdf(nu, pts, "left")
+    return pts, gap, gap_left
 
 
 def bl_bv_distance(mu, nu) -> float:
     """Dual BV-and-Lipschitz distance between two probability measures."""
-    f1, f2 = cdf_of(mu), cdf_of(nu)
-    pts = _merged_breakpoints(f1, f2)
-    if pts.size == 1:
-        return 0.0
+    pts, gap, gap_left = _cdf_gaps(mu, nu)
     # cell k is (pts[k], pts[k+1]); DeltaF is linear there (constant if both
     # inputs are atomic), so the mean of |DeltaF| over the cell is exact up to
     # one possible sign crossing, handled in closed form.
-    left = f1.evaluate(pts[:-1]) - f2.evaluate(pts[:-1])
-    right = f1.evaluate_left(pts[1:]) - f2.evaluate_left(pts[1:])
     lengths = np.diff(pts)
-    mean_abs = _mean_abs_linear(left, right)
+    mean_abs = _mean_abs_linear(gap[:-1], gap_left[1:])
     order = np.argsort(mean_abs)[::-1]
     budget = 1.0
     total = 0.0
@@ -118,11 +90,8 @@ def _mean_abs_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ks_distance(mu, nu) -> float:
     """Supremum CDF gap on the merged breakpoint grid."""
-    f1, f2 = cdf_of(mu), cdf_of(nu)
-    pts = _merged_breakpoints(f1, f2)
-    gap_right = np.abs(f1.evaluate(pts) - f2.evaluate(pts))
-    gap_left = np.abs(f1.evaluate_left(pts) - f2.evaluate_left(pts))
-    return float(max(np.max(gap_right), np.max(gap_left)))
+    _, gap, gap_left = _cdf_gaps(mu, nu)
+    return float(max(np.max(np.abs(gap)), np.max(np.abs(gap_left))))
 
 
 def log_energy_distance(rho1: GridDensity, rho2: GridDensity) -> float:

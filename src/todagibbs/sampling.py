@@ -81,6 +81,12 @@ def _chi_positive(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, _CHI_FLOOR)
 
 
+def _draw_entries(rng: np.random.Generator, n: int, shapes: np.ndarray):
+    """n standard-normal diagonal entries, then sqrt(Gamma(shape, 1)) off-diagonal entries."""
+    diag = rng.standard_normal(n)
+    return diag, _chi_positive(np.sqrt(rng.gamma(shapes, 1.0)))
+
+
 def sample_chi(stream: SeededStream, dof: float, size=None):
     """Chi-distributed draw(s): X with X^2 ~ Gamma(dof/2, scale 2).
 
@@ -100,7 +106,7 @@ def sample_toda_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobi
         raise ValueError("need n >= 3 for a periodic matrix")
     if not p > 0:
         raise ValueError("pressure p must be positive")
-    diag, off = _exact_base_draw(stream.generator(), n, p)
+    diag, off = _draw_entries(stream.generator(), n, np.full(n, p))
     return PeriodicJacobiMatrix(diag, off, periodic=True)
 
 
@@ -114,10 +120,8 @@ def sample_beta_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobi
         raise ValueError("need n >= 2")
     if not p > 0:
         raise ValueError("pressure p must be positive")
-    rng = stream.generator()
-    diag = rng.standard_normal(n)
     shapes = (n - np.arange(1, n)) * (p / n)
-    off = _chi_positive(np.sqrt(rng.gamma(shapes, 1.0)))
+    diag, off = _draw_entries(stream.generator(), n, shapes)
     return PeriodicJacobiMatrix(diag, off, periodic=False)
 
 
@@ -130,10 +134,7 @@ def sample_profile_matrix(stream: SeededStream, n: int,
     """
     if n < 3:
         raise ValueError("need n >= 3 for a periodic matrix")
-    rng = stream.generator()
-    diag = rng.standard_normal(n)
-    shapes = profile(np.arange(1, n + 1) / n)
-    off = _chi_positive(np.sqrt(rng.gamma(shapes, 1.0)))
+    diag, off = _draw_entries(stream.generator(), n, profile(np.arange(1, n + 1) / n))
     return PeriodicJacobiMatrix(diag, off, periodic=True)
 
 
@@ -217,12 +218,6 @@ def _log_accept_a(a_old: float, a_new: float, dtrv: float) -> float:
     return -0.5 * (a_new * a_new - a_old * a_old) - dtrv
 
 
-def _exact_base_draw(rng: np.random.Generator, n: int, p: float):
-    diag = rng.standard_normal(n)
-    off = _chi_positive(np.sqrt(rng.gamma(p, 1.0, size=n)))
-    return diag, off
-
-
 def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
               sweeps: int, thin: int = 1, proposal_scales=(0.5, 0.5)) -> McmcReport:
     """Sample the Toda Gibbs ensemble with confining potential V at pressure P.
@@ -261,7 +256,7 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
 def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
     samples, t2_series = [], []
     for sweep in range(sweeps):
-        diag, off = _exact_base_draw(rng, n, p)
+        diag, off = _draw_entries(rng, n, np.full(n, p))
         if sweep < burn:
             continue
         t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
@@ -279,10 +274,11 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
 
 
 def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> McmcReport:
-    diag, off = _exact_base_draw(rng, n, p)
+    diag, off = _draw_entries(rng, n, np.full(n, p))
     polynomial = v.is_polynomial
-    # Tr V(M) of the current state, which the tabulated path differences against
-    trv = n * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
+    # Tr V(M) of the current state, kept only for the tabulated delta
+    if not polynomial:
+        trv = n * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
 
     scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
     accepted = dict.fromkeys(scales, 0)
@@ -311,8 +307,9 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
             dtrv = delta_tr(site, "diag", a_new)
             if log_u_a[site] < _log_accept_a(a_old, a_new, dtrv):
                 diag[site] = a_new
-                trv += dtrv
                 accepted["diag"] += 1
+                if not polynomial:
+                    trv += dtrv
             # off-diagonal move: multiplicative log-normal random walk
             b_old = off[site]
             b_new = b_old * math.exp(scale_b * xi_b[site])
@@ -322,8 +319,9 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
             dtrv = delta_tr(site, "offdiag", b_new)
             if log_u_b[site] < _log_accept_b(b_old, b_new, p, dtrv):
                 off[site] = b_new
-                trv += dtrv
                 accepted["offdiag"] += 1
+                if not polynomial:
+                    trv += dtrv
 
         if sweep < burn:
             if (sweep + 1) % adapt_interval == 0:
@@ -339,7 +337,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
 
         t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
         if (sweep - burn) % thin == 0:
-            samples.append(PeriodicJacobiMatrix(diag.copy(), off.copy(), periodic=True))
+            samples.append(PeriodicJacobiMatrix(diag, off, periodic=True))
 
     t2_series = np.asarray(t2_series)
     tau_sweeps = integrated_autocorr_time(t2_series)
@@ -358,11 +356,10 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
     )
 
 
-def replica_map(fn, replicas: int, master_seed: int, workers: int = 1,
-                stream_offset: int = 0) -> list:
-    """Run fn(stream) for stream ids offset..offset+replicas-1, serially in id order.
+def replica_map(fn, replicas: int, master_seed: int, workers: int = 1) -> list:
+    """Run fn(stream) for stream ids 0..replicas-1, serially in id order.
 
     ``workers`` is ignored and stays only for callers that pass it: the
     LAPACK wrappers hold the GIL, so threads give no speed-up.
     """
-    return [fn(SeededStream(master_seed, stream_offset + i)) for i in range(replicas)]
+    return [fn(SeededStream(master_seed, i)) for i in range(replicas)]

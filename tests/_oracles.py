@@ -2,17 +2,16 @@
 
 Each oracle recomputes a quantity along a route disjoint from the library
 implementation it checks: characteristic-polynomial root bracketing for
-eigenvalues, a linear program for the bathtub dual distance, characteristic-
-function quadrature for the log-energy distance, and brute-force quadrature
-for the two-point beta-ensemble moment.
+eigenvalues, a linear program for the bathtub dual distance (on CDF gaps
+counted directly from the atoms), characteristic-function quadrature for the
+log-energy distance, and brute-force quadrature for the two-point
+beta-ensemble moment.  Nothing here imports from todagibbs.
 """
 
 import numpy as np
 from numpy.polynomial import Polynomial as Poly
 from scipy.integrate import nquad
 from scipy.optimize import brentq, linprog
-
-from todagibbs.metrics import _merged_breakpoints, cdf_of
 
 
 def char_poly_eigenvalues(m):
@@ -49,15 +48,23 @@ def char_poly_eigenvalues(m):
     return np.sort(np.asarray(roots))
 
 
+def atomic_cdf_gap(atoms1, atoms2):
+    """Merged atoms and F1 - F2 on each cell between them, by counting atoms <= x."""
+    pts = np.unique(np.concatenate((atoms1, atoms2)))
+
+    def cdf(atoms):
+        return np.mean(np.asarray(atoms)[None, :] <= pts[:-1, None], axis=1)
+
+    return pts, cdf(atoms1) - cdf(atoms2)
+
+
 def bathtub_lp(mu, nu):
     """Dual distance as an explicit linear program over the cell values of g.
 
     Valid for atomic measures, where the CDF difference is constant on each
     merged-partition cell.
     """
-    f1, f2 = cdf_of(mu), cdf_of(nu)
-    pts = _merged_breakpoints(f1, f2)
-    d_f = f1.evaluate(pts[:-1]) - f2.evaluate(pts[:-1])
+    pts, d_f = atomic_cdf_gap(mu.values, nu.values)
     lengths = np.diff(pts)
     k = lengths.size
     # g = u - v with u, v in [0, 1]; budget sum (u + v) length <= 1

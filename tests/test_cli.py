@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from todagibbs.cli import main
+from todagibbs.equilibrium import domain_auto
 
 
 def write_config(tmp_path, name, cfg):
@@ -154,6 +155,20 @@ def test_checks_bundle_small(tmp_path):
     assert bundle["nu_density"]["pass"]
     for name in cfg["checks"]:
         assert isinstance(bundle[name]["pass"], bool) and "bound" in bundle[name]
+
+
+def test_checks_auto_grid_holds_the_checks_pressures(tmp_path, monkeypatch):
+    # fc_convexity solves up to P = 2.4, above the run's P + 0.5 = 1.5
+    asked = []
+
+    def recording(p, w):
+        asked.append(p)
+        return domain_auto(p, w)
+
+    monkeypatch.setattr("todagibbs.cli.domain_auto", recording)
+    rc, _ = run(tmp_path, "checks", {"p": 1.0, "grid": {"m": 200}, "checks": ["fc_convexity"]})
+    assert rc == 0
+    assert max(asked) >= 2.4
 
 
 def test_mcmc_sample_source(tmp_path):

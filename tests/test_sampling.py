@@ -120,6 +120,15 @@ def test_profile_constant_matches_toda_law():
     assert abs(np.mean(t2p) - np.mean(t2t)) <= tol
 
 
+def test_toda_matrix_is_the_constant_profile_matrix():
+    # one entry law: on the same stream the two samplers draw the same entries
+    for n, p in ((3, 0.3), (50, 1.0), (401, 2.5)):
+        stream = SeededStream(9, n)
+        a = sample_toda_matrix(stream, n, p)
+        b = sample_profile_matrix(stream, n, VarianceProfile.constant(p))
+        assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
+
+
 def test_profile_linear_second_moment():
     prof = VarianceProfile((1.0, 2.0))  # sigma(x) = 1 + x
     t2 = [trace_power(sample_profile_matrix(SeededStream(7, i), 1000, prof), 2)
@@ -160,9 +169,10 @@ def test_entry_laws_sub_gaussian():
 
 def test_replica_map_stream_order_and_determinism():
     fn = lambda stream: (stream.stream_id, float(sample_toda_matrix(stream, 100, 1.0).diag[0]))
-    first = replica_map(fn, 6, 123, stream_offset=4)
+    shifted = lambda stream: fn(SeededStream(stream.master_seed, stream.stream_id + 4))
+    first = replica_map(shifted, 6, 123)
     assert [sid for sid, _ in first] == list(range(4, 10))
-    assert first == replica_map(fn, 6, 123, stream_offset=4)
+    assert first == replica_map(shifted, 6, 123)
     assert first == [fn(SeededStream(123, sid)) for sid in range(4, 10)]
     assert len({x for _, x in first}) == 6
 
