@@ -219,7 +219,8 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
                            thin=thin, proposal_scales=scales)
         samples = report.samples
         extra = {"acceptance": report.acceptance, "autocorr_time": report.autocorr_time,
-                 "ess": report.ess, "sweeps": report.sweeps}
+                 "ess": report.ess, "sweeps": report.sweeps,
+                 "proposal_scales": list(report.proposal_scales)}
         if dump_samples:
             for k, sample in enumerate(samples):
                 run.write(f"sample_{k:05d}.txt", matrix_text(sample))

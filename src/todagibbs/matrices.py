@@ -12,9 +12,10 @@ length-k walks at j, so ``_power_traces`` gets every Tr M^k, k <= kmax, from
 the walk weights on the cycle lifted to Z in O(N kmax^2); ``trace_power`` and
 ``trace_potential`` for polynomial V use it.  A walk of length k never leaves
 the cyclic arc of radius k around its base point, so the change of Tr V(M)
-under one symmetric entry-pair update (``local_trace_delta``, and the
-Metropolis chain's moves) is exact from a small dense window around the
-modified site.
+under one symmetric entry-pair update is exact from a small dense window
+around the modified site.  ``_trace_deltas`` stacks the windows of many
+sites and traces them together; ``local_trace_delta`` calls it with one
+site, and the Metropolis chain with a whole colour class.
 """
 
 from __future__ import annotations
@@ -218,70 +219,55 @@ def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
     return float(np.mean(v(eigenvalues(m).values)))
 
 
-def _window_indices(n: int, periodic: bool, center_lo: int, center_hi: int, radius: int):
-    """Index arc [center_lo - radius, center_hi + radius] around a changed site.
-
-    Cyclic for periodic matrices, clipped at the boundary otherwise.  Returns
-    None when a cyclic arc cannot be embedded as a proper sub-arc.
-    """
-    if periodic:
-        length = (center_hi - center_lo) + 2 * radius + 1
-        if length > n - 1:
-            return None
-        start = (center_lo - radius) % n
-        return (start + np.arange(length)) % n
-    lo = max(0, center_lo - radius)
-    hi = min(n - 1, center_hi + radius)
-    return np.arange(lo, hi + 1)
-
-
-def _arc_dense(diag: np.ndarray, off: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Dense symmetric tridiagonal matrix of a contiguous cyclic arc."""
-    k = idx.size
-    w = np.zeros((k, k))
-    w[np.arange(k), np.arange(k)] = diag[idx]
-    # bond between arc positions t and t+1 is offdiag[idx[t]] in cyclic order
-    bond_idx = idx[:-1]
-    w[np.arange(k - 1), np.arange(1, k)] = off[bond_idx]
-    w[np.arange(1, k), np.arange(k - 1)] = off[bond_idx]
-    return w
-
-
-def _trace_poly_dense(w: np.ndarray, coeffs: tuple[float, ...]) -> float:
-    """Tr V(W) for a small dense symmetric W, V given by ascending coeffs."""
-    k = w.shape[0]
-    total = coeffs[0] * k if coeffs else 0.0
+def _trace_poly_windows(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Tr V(W) for a stack (..., k, k) of small dense symmetric W, V by ascending coeffs."""
+    total = coeffs[0] * w.shape[-1] if coeffs else 0.0
     acc = None
-    for power, c in enumerate(coeffs[1:], start=1):
+    for c in coeffs[1:]:
         acc = w if acc is None else acc @ w
         if c != 0.0:
-            total += c * np.trace(acc)
-    return float(total)
+            total = total + c * np.trace(acc, axis1=-2, axis2=-1)
+    return total
 
 
-def _trace_delta(diag: np.ndarray, off: np.ndarray, periodic: bool, site: int, kind: str,
-                 new_value: float, v: Potential) -> float:
-    """Tr V(M') - Tr V(M) for polynomial V, M' replacing one symmetric entry pair.
+def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
+                  kind: str, new_values: np.ndarray, v: Potential) -> np.ndarray:
+    """Tr V(M') - Tr V(M) per site for polynomial V, M' replacing that site's entry pair.
 
-    Uses the dense window of radius deg V around the entry when the cyclic
-    arc fits (a closed walk of length k never leaves the radius-k arc around
-    its base point); otherwise N times the difference of ``trace_potential``.
+    Each move is taken alone against M.  A closed walk of length k never
+    leaves the radius-k arc around its base point, so the delta is exact from
+    the dense window of radius deg V around the entry: the windows of all
+    sites are stacked into one (2, sites, k, k) array, old and new, and
+    traced together.  A plain tridiagonal matrix is the cycle with the
+    closing bond set to 0.  When the arc does not fit as a proper sub-arc of
+    the cycle (degree above about N/2), the window is the whole matrix.
     """
-    hi = site if kind == "diag" else site + 1
-    idx = _window_indices(diag.size, periodic, site, hi, v.degree)
-    if idx is None:
-        m = PeriodicJacobiMatrix(diag, off, periodic)
-        changed = m.with_entry(site, kind, new_value)
-        return m.n * (trace_potential(changed, v) - trace_potential(m, v))
-    w_old = _arc_dense(diag, off, idx)
-    w_new = w_old.copy()
-    pos = int(np.nonzero(idx == site)[0][0])
-    if kind == "diag":
-        w_new[pos, pos] = new_value
+    n, d = diag.size, v.degree
+    sites = np.asarray(sites)
+    bonds = off if periodic else np.append(off, 0.0)
+    k = 2 * d + (1 if kind == "diag" else 2)
+    if k <= n - 1:
+        # arc position t holds site + t - d; bond t couples positions t and t + 1
+        idx = (sites[:, None] + np.arange(-d, k - d)) % n
+        pos = np.full(sites.size, d)
     else:
-        w_new[pos, pos + 1] = new_value
-        w_new[pos + 1, pos] = new_value
-    return _trace_poly_dense(w_new, v.coeffs) - _trace_poly_dense(w_old, v.coeffs)
+        k = n
+        idx = np.broadcast_to(np.arange(n), (sites.size, n))
+        pos = sites
+    t, rows = np.arange(k), np.arange(sites.size)
+    w = np.zeros((2, sites.size, k, k))
+    w[..., t, t] = diag[idx]
+    w[..., t[:-1], t[1:]] = bonds[idx[:, :-1]]
+    w[..., t[1:], t[:-1]] = bonds[idx[:, :-1]]
+    if k == n and periodic:
+        w[..., 0, n - 1] = w[..., n - 1, 0] = bonds[n - 1]
+    if kind == "diag":
+        w[1, rows, pos, pos] = new_values
+    else:
+        w[1, rows, pos, (pos + 1) % k] = new_values
+        w[1, rows, (pos + 1) % k, pos] = new_values
+    traces = _trace_poly_windows(w, v.coeffs)
+    return traces[1] - traces[0]
 
 
 def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
@@ -289,7 +275,7 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
     """Tr V(M') - Tr V(M) where M' replaces one symmetric entry pair.
 
     Exact up to rounding for polynomial V at every N: a small dense window
-    around the entry when it fits, two power-trace sums otherwise (degree
+    around the entry when it fits, the whole dense matrix otherwise (degree
     above about N/2).
     """
     if not v.is_polynomial:
@@ -308,7 +294,8 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
     old_value = m.diag[site] if kind == "diag" else m.offdiag[site]
     if new_value == old_value:
         return 0.0
-    return _trace_delta(m.diag, m.offdiag, m.periodic, site, kind, new_value, v)
+    return float(_trace_deltas(m.diag, m.offdiag, m.periodic, np.array([site]), kind,
+                               np.array([new_value]), v)[0])
 
 
 # -- text dump format ---------------------------------------------------

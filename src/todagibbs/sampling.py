@@ -14,8 +14,12 @@ b^(2P-1) exp(-b^2), which is exactly sqrt(Gamma(shape=P, scale=1)).
 General confining potentials V are handled by a Metropolis-within-Gibbs chain
 in the (a_i, b_i) coordinates: Gaussian random walk on diagonal entries,
 multiplicative log-normal walk on off-diagonal entries (positivity preserved,
-proposal Jacobian included in the ratio), with the Tr V change evaluated from
-a local window for polynomial V.
+proposal Jacobian included in the ratio).  For polynomial V of degree d a
+move at site i changes Tr V(M) only through entries within d of i, so sites
+at least 2d + 2 apart on the cycle are conditionally independent; each sweep
+visits colour classes of such sites (the chromatic Gibbs sampler of
+Gonzalez, Low, Gretton and Guestrin, AISTATS 2011) and decides a whole class
+at once from stacked local windows.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import PeriodicJacobiMatrix, _trace_delta, trace_potential
+from .matrices import PeriodicJacobiMatrix, _trace_deltas, trace_potential
 from .potentials import Potential
 
 # Underflow guard: chi draws with tiny degrees of freedom concentrate below
@@ -205,17 +209,35 @@ def integrated_autocorr_time(series: np.ndarray) -> float:
     return float(max(tau, 1.0))
 
 
-def _log_accept_b(b_old: float, b_new: float, p: float, dtrv: float) -> float:
+def _log_accept_b(b_old, b_new, p: float, dtrv):
     """Log acceptance ratio for the multiplicative off-diagonal move.
 
     Base law density ~ b^(2P-1) exp(-b^2); the log-normal proposal contributes
     a Jacobian factor b_new/b_old, giving 2P log(b'/b) - (b'^2 - b^2) - dTrV.
+    Scalars or arrays.
     """
-    return 2.0 * p * math.log(b_new / b_old) - (b_new * b_new - b_old * b_old) - dtrv
+    return 2.0 * p * np.log(b_new / b_old) - (b_new * b_new - b_old * b_old) - dtrv
 
 
-def _log_accept_a(a_old: float, a_new: float, dtrv: float) -> float:
+def _log_accept_a(a_old, a_new, dtrv):
     return -0.5 * (a_new * a_new - a_old * a_old) - dtrv
+
+
+def _colour_classes(n: int, radius: int) -> list[np.ndarray]:
+    """Sites 0..n-1 in classes whose members are >= 2 radius + 2 apart on the cycle.
+
+    A move at site i changes Tr V(M) only through entries within ``radius``
+    of i (its degree, for polynomial V), so moves of one class have disjoint
+    windows and are conditionally independent.  The cycle is cut into
+    floor(n / (2 radius + 2)) near-equal blocks, each at least that long, and
+    a site's colour is its position inside its block.  With one block (small
+    n, or radius n for a move that reads the whole spectrum) every class is a
+    single site, in site order.
+    """
+    blocks = max(n // (2 * radius + 2), 1)
+    starts = np.arange(blocks) * n // blocks
+    sizes = np.diff(starts, append=n)
+    return [starts[sizes > c] + c for c in range(int(sizes.max()))]
 
 
 def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
@@ -224,11 +246,16 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
 
     For V = 0 the invariant law factorizes over entries and each sweep draws
     the state exactly (acceptance 1).  Otherwise a Metropolis-within-Gibbs
-    sweep updates every diagonal and off-diagonal entry once; proposal scales
-    adapt toward 30-40% acceptance during the burn-in (the first
-    BURN_IN_FRACTION of the sweeps, which yields no samples), then freeze.
-    Polynomial V uses exact local trace updates; tabulated V recomputes the
-    full spectrum per move and is limited to N <= 400.
+    sweep updates every diagonal and off-diagonal entry once, one colour
+    class at a time (``_colour_classes``): the diagonal moves of the class,
+    then its off-diagonal moves, each decided together.  Each sweep draws its
+    proposals and uniforms for all N sites up front, indexed by site.
+    Proposal scales adapt toward 30-40% acceptance during the burn-in (the
+    first BURN_IN_FRACTION of the sweeps, which yields no samples), then
+    freeze.  Polynomial V takes exact Tr V changes from dense local windows,
+    stacked per class; when N < 4 deg V + 4 every class is one site,
+    in site order.  Tabulated V recomputes the full spectrum per move, so it
+    runs one site at a time, and is limited to N <= 400.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -275,10 +302,21 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
 
 def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> McmcReport:
     diag, off = _draw_entries(rng, n, np.full(n, p))
-    polynomial = v.is_polynomial
-    # Tr V(M) of the current state, kept only for the tabulated delta
-    if not polynomial:
+    if v.is_polynomial:
+        classes = _colour_classes(n, v.degree)
+
+        def delta_tr(sites, kind, new_values):
+            return _trace_deltas(diag, off, True, sites, kind, new_values, v)
+    else:
+        # every move reads the whole spectrum: singleton classes, and Tr V(M)
+        # of the current state kept for the delta
+        classes = _colour_classes(n, n)
         trv = n * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
+
+        def delta_tr(sites, kind, new_values):
+            changed = PeriodicJacobiMatrix(diag, off, periodic=True).with_entry(
+                int(sites[0]), kind, float(new_values[0]))
+            return np.array([n * trace_potential(changed, v) - trv])
 
     scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
     accepted = dict.fromkeys(scales, 0)
@@ -287,41 +325,37 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
 
     samples, t2_series = [], []
 
-    def delta_tr(site, kind, new_value):
-        if polynomial:
-            return _trace_delta(diag, off, True, site, kind, new_value, v)
-        changed = PeriodicJacobiMatrix(diag, off, periodic=True).with_entry(site, kind, new_value)
-        return n * trace_potential(changed, v) - trv
-
     for sweep in range(sweeps):
         scale_a, scale_b = scales["diag"], scales["offdiag"]
         xi_a = rng.standard_normal(n)
         log_u_a = np.log(rng.random(n))
         xi_b = rng.standard_normal(n)
         log_u_b = np.log(rng.random(n))
-        for site in range(n):
-            # diagonal move: Gaussian random walk
-            a_old = diag[site]
-            a_new = a_old + scale_a * xi_a[site]
-            proposed["diag"] += 1
-            dtrv = delta_tr(site, "diag", a_new)
-            if log_u_a[site] < _log_accept_a(a_old, a_new, dtrv):
-                diag[site] = a_new
-                accepted["diag"] += 1
-                if not polynomial:
-                    trv += dtrv
-            # off-diagonal move: multiplicative log-normal random walk
-            b_old = off[site]
-            b_new = b_old * math.exp(scale_b * xi_b[site])
-            proposed["offdiag"] += 1
-            if not (b_new > 0.0 and math.isfinite(b_new)):
-                continue  # auto-rejected, counted as proposed
-            dtrv = delta_tr(site, "offdiag", b_new)
-            if log_u_b[site] < _log_accept_b(b_old, b_new, p, dtrv):
-                off[site] = b_new
-                accepted["offdiag"] += 1
-                if not polynomial:
-                    trv += dtrv
+        for sites in classes:
+            # diagonal moves: Gaussian random walk
+            a_old = diag[sites]
+            a_new = a_old + scale_a * xi_a[sites]
+            dtrv = delta_tr(sites, "diag", a_new)
+            ok = log_u_a[sites] < _log_accept_a(a_old, a_new, dtrv)
+            diag[sites[ok]] = a_new[ok]
+            proposed["diag"] += sites.size
+            accepted["diag"] += int(ok.sum())
+            if not v.is_polynomial:
+                trv += float(dtrv[ok].sum())
+            # off-diagonal moves: multiplicative log-normal random walk; a
+            # proposal that overflows or is not positive is rejected
+            b_old = off[sites]
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_new = b_old * np.exp(scale_b * xi_b[sites])
+                valid = (b_new > 0.0) & np.isfinite(b_new)
+                b_new = np.where(valid, b_new, b_old)
+                dtrv = delta_tr(sites, "offdiag", b_new)
+                ok = valid & (log_u_b[sites] < _log_accept_b(b_old, b_new, p, dtrv))
+            off[sites[ok]] = b_new[ok]
+            proposed["offdiag"] += sites.size
+            accepted["offdiag"] += int(ok.sum())
+            if not v.is_polynomial:
+                trv += float(dtrv[ok].sum())
 
         if sweep < burn:
             if (sweep + 1) % adapt_interval == 0:

@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a route disjoint from the library
 implementation it checks: characteristic-polynomial root bracketing for
 eigenvalues, a linear program for the bathtub dual distance (on CDF gaps
 counted directly from the atoms), characteristic-function quadrature for the
-log-energy distance, and brute-force quadrature for the two-point
-beta-ensemble moment.  Nothing here imports from todagibbs.
+log-energy distance, brute-force quadrature for the two-point
+beta-ensemble moment, and a one-move-at-a-time Metropolis sweep with Tr V
+from the dense matrix.  Nothing here imports from todagibbs.
 """
 
 import numpy as np
@@ -113,3 +114,44 @@ def gauss_quadrature_integral(fn, lo, hi, n=400):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     return float(0.5 * (hi - lo) * np.sum(weights * fn(xs)))
+
+
+def sequential_metropolis_sweeps(diag, off, p, coeffs, classes, draws, scales):
+    """States after each sweep of a one-move-at-a-time Metropolis chain on a periodic matrix.
+
+    Tr V(M) is taken from the dense matrix before and after every move.
+    Sites are visited class by class: the diagonal move of each site of the
+    class in turn, then the off-diagonal move of each.  ``draws`` holds one
+    (xi_a, log_u_a, xi_b, log_u_b) tuple per sweep, indexed by site; a move is
+    a + s_a xi_a or b exp(s_b xi_b), accepted when log u is below the log
+    ratio of exp(-a^2/2) b^(2p-1) exp(-b^2) exp(-Tr V) times the log-normal
+    Jacobian b'/b.
+    """
+    diag, off = np.array(diag, dtype=float), np.array(off, dtype=float)
+    n = diag.size
+    nxt = (np.arange(n) + 1) % n
+
+    def trace_v():
+        m = np.diag(diag)
+        m[np.arange(n), nxt] = off
+        m[nxt, np.arange(n)] = off
+        return sum(c * np.trace(np.linalg.matrix_power(m, k)) for k, c in enumerate(coeffs))
+
+    states = []
+    for xi_a, log_u_a, xi_b, log_u_b in draws:
+        for sites in classes:
+            for i in sites:
+                a, before = diag[i], trace_v()
+                diag[i] = a + scales[0] * xi_a[i]
+                log_ratio = -0.5 * (diag[i] ** 2 - a ** 2) - (trace_v() - before)
+                if not log_u_a[i] < log_ratio:
+                    diag[i] = a
+            for i in sites:
+                b, before = off[i], trace_v()
+                off[i] = b * np.exp(scales[1] * xi_b[i])
+                log_ratio = (2.0 * p * np.log(off[i] / b) - (off[i] ** 2 - b ** 2)
+                             - (trace_v() - before))
+                if not log_u_b[i] < log_ratio:
+                    off[i] = b
+        states.append((diag.copy(), off.copy()))
+    return states

@@ -172,7 +172,7 @@ def test_checks_auto_grid_holds_the_checks_pressures(tmp_path, monkeypatch):
 
 
 def test_mcmc_sample_source(tmp_path):
-    cfg = {"source": "mcmc", "n": 30, "p": 1.0, "sweeps": 60, "thin": 4,
+    cfg = {"source": "mcmc", "n": 30, "p": 1.0, "sweeps": 150, "thin": 4,
            "potential": {"type": "polynomial", "coeffs": [0, 0, 0, 0, 0.1]},
            "dump_samples": True}
     rc, out = run(tmp_path, "sample", cfg, out="mcmc")
@@ -180,6 +180,11 @@ def test_mcmc_sample_source(tmp_path):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert 0.0 <= summary["acceptance"]["offdiag"] <= 1.0
     assert summary["ess"] <= summary["replica_count"]
+    # the scales the burn-in adapted from the default (0.5, 0.5), as the chain reports them
+    from todagibbs import Potential, SeededStream, mcmc_toda
+    report = mcmc_toda(SeededStream(0, 0), 30, 1.0, Potential.from_dict(cfg["potential"]),
+                       sweeps=150, thin=4)
+    assert summary["proposal_scales"] == list(report.proposal_scales) != [0.5, 0.5]
     dumps = [f for f in os.listdir(out) if f.startswith("sample_")]
     assert len(dumps) == summary["replica_count"]
     from todagibbs import load_matrix

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from todagibbs import (NonConfiningError, Potential,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_chi, sample_coupled_toda,
                        sample_profile_matrix, sample_toda_matrix, trace_power)
-from todagibbs.sampling import _log_accept_a, _log_accept_b
+from todagibbs.sampling import _colour_classes, _log_accept_a, _log_accept_b
 from todagibbs.matrices import local_trace_delta
+
+from _oracles import sequential_metropolis_sweeps
 
 
 def stderr(x):
@@ -193,6 +196,9 @@ def test_mcmc_zero_potential_matches_iid():
 def test_identity_proposal_accepts_surely():
     assert _log_accept_b(0.7, 0.7, 1.5, 0.0) == 0.0
     assert _log_accept_a(-0.3, -0.3, 0.0) == 0.0
+    b, a = np.array([0.7, 2.5, 1e-3]), np.array([-0.3, 0.0, 4.0])
+    assert np.array_equal(_log_accept_b(b, b, 1.5, np.zeros(3)), np.zeros(3))
+    assert np.array_equal(_log_accept_a(a, a, np.zeros(3)), np.zeros(3))
 
 
 def test_mcmc_validation():
@@ -288,3 +294,48 @@ def test_mcmc_report_invariants():
     assert rep.ess <= len(rep.samples)
     assert rep.sweeps == 150
     assert all(s.periodic and s.n == 50 for s in rep.samples)
+
+
+@pytest.mark.parametrize("n", [20, 23, 41, 200, 201, 2003])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_colour_classes_partition_the_cycle_into_spaced_sites(n, degree):
+    classes = _colour_classes(n, degree)
+    stride = 2 * degree + 2
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
+    assert len(classes) < 2 * stride  # a class holds about n / stride sites
+    for sites in classes:
+        gaps = np.abs(sites[:, None] - sites[None, :])
+        cyclic = np.minimum(gaps, n - gaps)[~np.eye(sites.size, dtype=bool)]
+        assert np.all(cyclic >= stride)
+
+
+@pytest.mark.parametrize("n", [20, 23, 41])
+def test_class_sweeps_match_sequential_dense_oracle(n):
+    # the chain draws its start and each sweep's proposals and uniforms from
+    # one stream; replay them through a one-move-at-a-time dense sweep
+    coeffs, p, sweeps = [0, 0, 0, 0, 1.0], 1.0, 20
+    stream = SeededStream(40, n)
+    rep = mcmc_toda(stream, n, p, Potential.polynomial(coeffs), sweeps=sweeps)
+    rng = stream.generator()
+    diag, off = rng.standard_normal(n), np.sqrt(rng.gamma(np.full(n, p), 1.0))
+    draws = [(rng.standard_normal(n), np.log(rng.random(n)),
+              rng.standard_normal(n), np.log(rng.random(n))) for _ in range(sweeps)]
+    states = sequential_metropolis_sweeps(diag, off, p, coeffs, _colour_classes(n, 4),
+                                          draws, (0.5, 0.5))
+    burn = sweeps - len(rep.samples)  # no proposal-scale update within 25 sweeps
+    for sample, (d, o) in zip(rep.samples, states[burn:], strict=True):
+        assert np.max(np.abs(sample.diag - d)) <= 1e-9
+        assert np.max(np.abs(sample.offdiag - o)) <= 1e-9
+    assert all(0.0 < r < 1.0 for r in rep.acceptance.values())
+
+
+@pytest.mark.parametrize("scales", [(10.0, 10.0), (10.0, 1000.0)])
+def test_wide_proposals_raise_no_runtime_warning(scales):
+    # at scale 1000 most off-diagonal proposals overflow or underflow to 0;
+    # they are rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mcmc_toda(SeededStream(17, 0), 40, 1.0, Potential.polynomial([0, 0, 0, 0, 0.2]),
+                        sweeps=30, proposal_scales=scales)
+    assert all(0.0 <= r <= 1.0 for r in rep.acceptance.values())
+    assert all(np.all(np.isfinite(s.offdiag)) and np.all(s.offdiag > 0) for s in rep.samples)
