@@ -22,7 +22,6 @@ minimized by the equilibrium solver.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +190,9 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     tasks = [(seed, k * replicas + r, n, p, w.to_dict(), float(alpha), mc_sweeps, thin)
              for k, alpha in enumerate(alphas) for r in range(replicas)]
     if workers > 1:
+        # imported here: loading the process pool costs every command start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ti_node_task, tasks))
     else:

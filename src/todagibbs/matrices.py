@@ -10,12 +10,13 @@ matrix: it folds the cycle into a symmetric band of half-width 2 (see
 Traces also avoid the dense matrix.  (M^k)_{jj} is a sum over closed
 length-k walks at j, so ``_power_traces`` gets every Tr M^k, k <= kmax, from
 the walk weights on the cycle lifted to Z in O(N kmax^2); ``trace_power`` and
-``trace_potential`` for polynomial V use it.  A walk of length k never leaves
-the cyclic arc of radius k around its base point, so the change of Tr V(M)
-under one symmetric entry-pair update is exact from a small dense window
-around the modified site.  ``_trace_deltas`` stacks the windows of many
-sites and traces them together; ``local_trace_delta`` calls it with one
-site, and the Metropolis chain with a whole colour class.
+``trace_potential`` for polynomial V use it.  A closed walk of length k
+that uses an entry goes out and back, so it stays within (k - 1) // 2 sites
+of it, and the change of Tr V(M) under one symmetric entry-pair update is
+exact from a small dense window around the modified site.
+``_trace_deltas`` stacks the windows of many sites and traces them
+together; ``local_trace_delta`` calls it with one site, and the Metropolis
+chain with a whole colour class.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .potentials import Potential
 
@@ -159,6 +159,10 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     band reduction, O(N^2) for eigenvalues only; the permutation is a
     similarity, so the spectrum is unchanged.
     """
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only `sample` eigensolves
+    from scipy.linalg import eig_banded, eigh_tridiagonal
+
     _require_finite(m)
     if m.periodic:
         vals = eig_banded(_folded_band(m), lower=True, eigvals_only=True,
@@ -234,22 +238,25 @@ def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.n
                   kind: str, new_values: np.ndarray, v: Potential) -> np.ndarray:
     """Tr V(M') - Tr V(M) per site for polynomial V, M' replacing that site's entry pair.
 
-    Each move is taken alone against M.  A closed walk of length k never
-    leaves the radius-k arc around its base point, so the delta is exact from
-    the dense window of radius deg V around the entry: the windows of all
-    sites are stacked into one (2, sites, k, k) array, old and new, and
-    traced together.  A plain tridiagonal matrix is the cycle with the
-    closing bond set to 0.  When the arc does not fit as a proper sub-arc of
-    the cycle (degree above about N/2), the window is the whole matrix.
+    Each move is taken alone against M.  Only the closed walks of length at
+    most d = deg V that use the changed entry see the change.  Such a walk
+    spends one step on a diagonal entry, or two on crossing a bond there and
+    back, and must return along every other step it takes, so it stays
+    within r = (d - 1) // 2 sites of the entry (beyond either end of a
+    bond): the delta is exact from the dense window of that radius.  The
+    windows of all sites are stacked into one (2, sites, k, k) array, old
+    and new, and traced together.  A plain tridiagonal matrix is the cycle
+    with the closing bond set to 0.  When the arc does not fit as a proper
+    sub-arc of the cycle (N up to about d), the window is the whole matrix.
     """
-    n, d = diag.size, v.degree
+    n, r = diag.size, (v.degree - 1) // 2
     sites = np.asarray(sites)
     bonds = off if periodic else np.append(off, 0.0)
-    k = 2 * d + (1 if kind == "diag" else 2)
+    k = 2 * r + (1 if kind == "diag" else 2)
     if k <= n - 1:
-        # arc position t holds site + t - d; bond t couples positions t and t + 1
-        idx = (sites[:, None] + np.arange(-d, k - d)) % n
-        pos = np.full(sites.size, d)
+        # arc position t holds site + t - r; bond t couples positions t and t + 1
+        idx = (sites[:, None] + np.arange(-r, k - r)) % n
+        pos = np.full(sites.size, r)
     else:
         k = n
         idx = np.broadcast_to(np.arange(n), (sites.size, n))
@@ -276,7 +283,7 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
 
     Exact up to rounding for polynomial V at every N: a small dense window
     around the entry when it fits, the whole dense matrix otherwise (degree
-    above about N/2).
+    about N or above).
     """
     if not v.is_polynomial:
         raise TypeError("local_trace_delta needs a polynomial potential")

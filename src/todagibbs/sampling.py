@@ -40,6 +40,9 @@ _CHI_FLOOR = 1e-300
 TABULATED_MCMC_MAX_N = 400
 # share of the sweeps that mcmc_toda spends adapting proposal scales and discards
 BURN_IN_FRACTION = 0.2
+# a burn-in of fewer sweeps measures the acceptance of the chain's first,
+# transient sweeps more than the chain's own, so it adapts nothing
+ADAPT_MIN_BURN = 10
 
 
 @dataclass(frozen=True)
@@ -251,11 +254,13 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     then its off-diagonal moves, each decided together.  Each sweep draws its
     proposals and uniforms for all N sites up front, indexed by site.
     Proposal scales adapt toward 30-40% acceptance during the burn-in (the
-    first BURN_IN_FRACTION of the sweeps, which yields no samples), then
-    freeze.  Polynomial V takes exact Tr V changes from dense local windows,
-    stacked per class; when N < 4 deg V + 4 every class is one site,
-    in site order.  Tabulated V recomputes the full spectrum per move, so it
-    runs one site at a time, and is limited to N <= 400.
+    first BURN_IN_FRACTION of the sweeps, which yields no samples), every 25
+    sweeps or once at its end if it is shorter, then freeze; a burn-in of
+    fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Polynomial V
+    takes exact Tr V changes from dense local windows, stacked per class;
+    when N < 4 deg V + 4 every class is one site, in site order.  Tabulated
+    V recomputes the full spectrum per move, so it runs one site at a time,
+    and is limited to N <= 400.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -321,7 +326,8 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
     scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
     accepted = dict.fromkeys(scales, 0)
     proposed = dict.fromkeys(scales, 0)
-    adapt_interval = 25
+    # every 25 sweeps, or once at the end of a shorter burn-in
+    adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
 
     samples, t2_series = [], []
 
@@ -358,7 +364,7 @@ def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> 
                 trv += float(dtrv[ok].sum())
 
         if sweep < burn:
-            if (sweep + 1) % adapt_interval == 0:
+            if adapt_interval and (sweep + 1) % adapt_interval == 0:
                 for kind in scales:
                     rate = accepted[kind] / max(proposed[kind], 1)
                     if rate > 0.40:

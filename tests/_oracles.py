@@ -5,8 +5,9 @@ implementation it checks: characteristic-polynomial root bracketing for
 eigenvalues, a linear program for the bathtub dual distance (on CDF gaps
 counted directly from the atoms), characteristic-function quadrature for the
 log-energy distance, brute-force quadrature for the two-point
-beta-ensemble moment, and a one-move-at-a-time Metropolis sweep with Tr V
-from the dense matrix.  Nothing here imports from todagibbs.
+beta-ensemble moment, a one-move-at-a-time Metropolis sweep with Tr V
+from the dense matrix, and the untruncated Gaussian kernel sum.  Nothing
+here imports from todagibbs.
 """
 
 import numpy as np
@@ -96,6 +97,17 @@ def fourier_log_energy(rho1, rho2, t_min=1e-4, t_max=1e4, n_t=6000):
     first_moment = float(np.dot(x, delta))
     total += 0.5 * (first_moment * t_min) ** 2
     return float(np.sqrt(max(total, 0.0)))
+
+
+def direct_gaussian_kde(values, x, h, bandwidth):
+    """Gaussian kernel of every value summed at every point x, scaled to unit mass (sum * h).
+
+    No truncation and no windowing: the full (points, values) table of terms.
+    """
+    terms = np.exp(-np.subtract.outer(np.asarray(x), np.asarray(values)) ** 2
+                   / (2.0 * bandwidth * bandwidth))
+    total = terms.sum(axis=1)
+    return total / (total.sum() * h)
 
 
 def beta_two_point_trace_moment(beta, cutoff=12.0):

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import todagibbs
 from todagibbs.cli import main
 from todagibbs.equilibrium import domain_auto
 
@@ -190,6 +193,35 @@ def test_mcmc_sample_source(tmp_path):
     from todagibbs import load_matrix
     m = load_matrix(os.path.join(out, dumps[0]))
     assert m.n == 30 and m.periodic
+
+
+def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
+    # scipy.linalg and the process pool are most of the CLI's start-up; only
+    # the eigensolve of `sample` and a multi-worker free-energy check need them
+    eig = tmp_path / "eig.csv"
+    eig.write_text("replica,lambda\n" + "".join(
+        f"0,{x:.17g}\n" for x in np.linspace(-2.0, 2.0, 300)))
+    dos_cfg = write_config(tmp_path, "dos.json", {"p": 1.0, "grid": {"m": 200}})
+    cmp_cfg = write_config(tmp_path, "cmp.json", {
+        "eigenvalues_csv": str(eig), "density_csv": str(tmp_path / "nu" / "nu.csv")})
+    script = f"""
+import json, sys
+from todagibbs.cli import main
+def heavy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "multiprocessing"))
+                  or m == "concurrent.futures.process")
+loaded = [heavy()]
+loaded.append([main(["dos", "--config", {dos_cfg!r}, "--out", {str(tmp_path / "nu")!r}])] + heavy())
+loaded.append([main(["compare", "--config", {cmp_cfg!r}, "--out", {str(tmp_path / "cmp")!r}])] + heavy())
+print(json.dumps(loaded))
+"""
+    src = os.path.dirname(os.path.dirname(todagibbs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0]]
 
 
 def test_missing_config_file():

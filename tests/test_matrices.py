@@ -9,6 +9,7 @@ from todagibbs import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        PeriodicJacobiMatrix, Potential, bl_bv_distance,
                        dump_matrix, eigenvalues, load_matrix,
                        local_trace_delta, trace_potential, trace_power)
+from todagibbs.matrices import _trace_deltas
 
 from _oracles import char_poly_eigenvalues
 
@@ -178,11 +179,39 @@ def test_local_delta_matches_full_recompute(periodic):
             assert d_local == pytest.approx(d_full, abs=1e-10 * (1 + abs(d_full)))
 
 
+def dense_trace_v(m, coeffs):
+    w = m.to_dense()
+    return sum(c * np.trace(np.linalg.matrix_power(w, k)) for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_stacked_deltas_match_dense_difference(degree, periodic):
+    # windows of radius deg/2 - 1 where they fit as a proper sub-arc of the
+    # cycle (diag from N = deg, offdiag from deg + 1), the whole matrix below;
+    # the sizes straddle both thresholds and that of radius-deg windows
+    rng = np.random.default_rng(degree)
+    coeffs = np.zeros(degree + 1)
+    coeffs[::2] = rng.uniform(0.1, 1.0, degree // 2 + 1)
+    v = Potential.polynomial(coeffs)
+    sizes = (degree - 1, degree, degree + 1, degree + 2, 2 * degree + 2, 2 * degree + 3, 41, 200)
+    for n in sorted({max(size, 3) for size in sizes}):
+        m = random_matrix(rng, n, periodic=periodic)
+        base = dense_trace_v(m, coeffs)
+        for kind, size in (("diag", n), ("offdiag", m.offdiag.size)):
+            sites = np.arange(size) if n <= 41 else np.array([0, 1, 57, size - 2, size - 1])
+            new = rng.standard_normal(sites.size) ** 2 + 0.05
+            got = _trace_deltas(m.diag, m.offdiag, periodic, sites, kind, new, v)
+            want = [dense_trace_v(m.with_entry(s, kind, x), coeffs) - base
+                    for s, x in zip(sites, new)]
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(base))
+
+
 def test_local_delta_degree_fallback():
-    # degree 8 window does not fit in N = 9, falls back to full difference;
+    # degree 8 window does not fit in N = 7, falls back to full difference;
     # the reference sums V over both spectra, independent of the power traces
     rng = np.random.default_rng(23)
-    m = random_matrix(rng, 9)
+    m = random_matrix(rng, 7)
     v8 = Potential.polynomial([0] * 8 + [1.0])
     d_local = local_trace_delta(m, 2, "diag", 0.4, v8)
     m2 = m.with_entry(2, "diag", 0.4)

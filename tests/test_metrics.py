@@ -12,7 +12,7 @@ from todagibbs import (EmpiricalSpectralMeasure, Grid, GridDensity,
                        SeededStream, bl_bv_distance, ks_distance,
                        log_energy_distance, sample_chi, smooth_empirical)
 
-from _oracles import atomic_cdf_gap, bathtub_lp, fourier_log_energy
+from _oracles import atomic_cdf_gap, bathtub_lp, direct_gaussian_kde, fourier_log_energy
 
 
 def gaussian_density(grid, mean, sd):
@@ -195,6 +195,27 @@ def test_smooth_default_bandwidth_floored_at_half_grid_step():
     width = 0.5 * g.h
     target = GridDensity.from_unnormalized(g, np.exp(-(g.x - 0.0123) ** 2 / (2 * width ** 2)))
     assert np.allclose(rho.values, target.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", ["h/2", "h", "default", "half_width"])
+@pytest.mark.parametrize("count", [1, 1001])
+def test_smooth_matches_untruncated_direct_sum(bandwidth, count):
+    # the library sums each block of sorted eigenvalues over the grid points
+    # within a few bandwidths; the oracle sums every term at every point
+    g = Grid(4.0, 400)
+    lo, hi = g.x[0] - g.h / 2, g.x[-1] + g.h / 2
+    if count == 1:
+        vals = np.array([0.0123])
+    else:  # 1001 is not a multiple of the block size; four lie in the outer half cells
+        draws = np.random.default_rng(8).standard_normal(count - 4)
+        vals = np.concatenate((np.clip(draws, -3.5, 3.5),
+                               [lo, lo + g.h / 4, hi - g.h / 8, hi]))
+    es = EmpiricalSpectralMeasure(vals)
+    width = {"h/2": g.h / 2, "h": g.h, "half_width": g.half_width,
+             "default": max(np.std(es.values) * count ** -0.2, g.h / 2)}[bandwidth]
+    rho = smooth_empirical(es, g, bandwidth=None if bandwidth == "default" else width)
+    want = direct_gaussian_kde(es.values, g.x, g.h, width)
+    assert np.max(np.abs(rho.values - want)) <= 1e-13 * np.max(want)
 
 
 def test_smoothing_bias_shrinks_with_bandwidth():

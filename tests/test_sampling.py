@@ -322,11 +322,19 @@ def test_class_sweeps_match_sequential_dense_oracle(n):
               rng.standard_normal(n), np.log(rng.random(n))) for _ in range(sweeps)]
     states = sequential_metropolis_sweeps(diag, off, p, coeffs, _colour_classes(n, 4),
                                           draws, (0.5, 0.5))
-    burn = sweeps - len(rep.samples)  # no proposal-scale update within 25 sweeps
+    burn = sweeps - len(rep.samples)  # 4 sweeps, below ADAPT_MIN_BURN: no scale update
     for sample, (d, o) in zip(rep.samples, states[burn:], strict=True):
         assert np.max(np.abs(sample.diag - d)) <= 1e-9
         assert np.max(np.abs(sample.offdiag - o)) <= 1e-9
     assert all(0.0 < r < 1.0 for r in rep.acceptance.values())
+
+
+def test_short_burn_in_adapts_proposal_scales():
+    # 120 sweeps burn in for 24, fewer than the 25-sweep adaptation interval;
+    # at scale 10 under V = 0.2 x^4 about 7% of the moves are accepted
+    rep = mcmc_toda(SeededStream(0, 0), 40, 1.0, Potential.polynomial([0, 0, 0, 0, 0.2]),
+                    sweeps=120, proposal_scales=(10.0, 10.0))
+    assert max(rep.proposal_scales) < 10.0
 
 
 @pytest.mark.parametrize("scales", [(10.0, 10.0), (10.0, 1000.0)])
