@@ -225,7 +225,7 @@ def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
 
 def _trace_poly_windows(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     """Tr V(W) for a stack (..., k, k) of small dense symmetric W, V by ascending coeffs."""
-    total = coeffs[0] * w.shape[-1] if coeffs else 0.0
+    total = np.full(w.shape[:-2], coeffs[0] * w.shape[-1] if coeffs else 0.0)
     acc = None
     for c in coeffs[1:]:
         acc = w if acc is None else acc @ w
@@ -243,13 +243,13 @@ def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.n
     spends one step on a diagonal entry, or two on crossing a bond there and
     back, and must return along every other step it takes, so it stays
     within r = (d - 1) // 2 sites of the entry (beyond either end of a
-    bond): the delta is exact from the dense window of that radius.  The
-    windows of all sites are stacked into one (2, sites, k, k) array, old
-    and new, and traced together.  A plain tridiagonal matrix is the cycle
+    bond; r = 0 for constant V): the delta is exact from the dense window of
+    that radius.  The windows of all sites are stacked into one
+    (2, sites, k, k) array, old and new, and traced together.  A plain tridiagonal matrix is the cycle
     with the closing bond set to 0.  When the arc does not fit as a proper
     sub-arc of the cycle (N up to about d), the window is the whole matrix.
     """
-    n, r = diag.size, (v.degree - 1) // 2
+    n, r = diag.size, max(v.degree - 1, 0) // 2
     sites = np.asarray(sites)
     bonds = off if periodic else np.append(off, 0.0)
     k = 2 * r + (1 if kind == "diag" else 2)

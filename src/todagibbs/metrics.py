@@ -29,9 +29,11 @@ from .matrices import EmpiricalSpectralMeasure
 logger = logging.getLogger(__name__)
 
 # smooth_empirical: Gaussian terms beyond this many bandwidths are dropped,
-# and this many sorted eigenvalues share one grid window
+# and at most this many sorted eigenvalues share one grid window, fewer on a
+# grid so fine that one (window x block) table would exceed KDE_MAX_TERMS
 KDE_REACH = 9.0
 KDE_CHUNK = 128
+KDE_MAX_TERMS = 2_000_000
 
 
 def _breakpoints(measure) -> np.ndarray:
@@ -124,8 +126,10 @@ def smooth_empirical(es: EmpiricalSpectralMeasure, grid, bandwidth: float | None
 
     The sum is exact up to a truncation at KDE_REACH bandwidths, where a term
     is below exp(-40.5) ~ 3e-18 of its peak: the eigenvalues are sorted, so
-    each block of KDE_CHUNK neighbours is summed only over the grid points
-    within that reach of the block.
+    each block of up to KDE_CHUNK neighbours is summed only over the grid
+    points within that reach of the block.  Whatever the bandwidth, a
+    block's table of terms holds at most KDE_MAX_TERMS values, or one grid's
+    worth on a larger grid.
     """
     vals = es.values
     lo = grid.x[0] - grid.h / 2.0
@@ -144,8 +148,9 @@ def smooth_empirical(es: EmpiricalSpectralMeasure, grid, bandwidth: float | None
     out = np.zeros(grid.m)
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
     reach = KDE_REACH * bandwidth
-    for start in range(0, vals.size, KDE_CHUNK):
-        block = vals[start:start + KDE_CHUNK]
+    chunk = min(KDE_CHUNK, max(1, KDE_MAX_TERMS // grid.m))
+    for start in range(0, vals.size, chunk):
+        block = vals[start:start + chunk]
         cells = slice(*np.searchsorted(x, (block[0] - reach, block[-1] + reach)))
         out[cells] += np.exp(-inv * (x[cells, None] - block[None, :]) ** 2).sum(axis=1)
     return GridDensity.from_unnormalized(grid, out)

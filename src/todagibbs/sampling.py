@@ -41,7 +41,9 @@ TABULATED_MCMC_MAX_N = 400
 # share of the sweeps that mcmc_toda spends adapting proposal scales and discards
 BURN_IN_FRACTION = 0.2
 # a burn-in of fewer sweeps measures the acceptance of the chain's first,
-# transient sweeps more than the chain's own, so it adapts nothing
+# transient sweeps more than the chain's own, so it adapts nothing: from the
+# V = 0 start under V = x^4 at scale 0.5, the mean rate of one sweep climbs
+# from 0.55 to within 0.02 of its settled 0.67-0.71 by about sweep 10
 ADAPT_MIN_BURN = 10
 
 

@@ -102,11 +102,12 @@ def fourier_log_energy(rho1, rho2, t_min=1e-4, t_max=1e4, n_t=6000):
 def direct_gaussian_kde(values, x, h, bandwidth):
     """Gaussian kernel of every value summed at every point x, scaled to unit mass (sum * h).
 
-    No truncation and no windowing: the full (points, values) table of terms.
+    No truncation and no windowing: every term at every point, one value at a time.
     """
-    terms = np.exp(-np.subtract.outer(np.asarray(x), np.asarray(values)) ** 2
-                   / (2.0 * bandwidth * bandwidth))
-    total = terms.sum(axis=1)
+    x = np.asarray(x)
+    total = np.zeros(x.size)
+    for value in np.asarray(values):
+        total += np.exp(-(x - value) ** 2 / (2.0 * bandwidth * bandwidth))
     return total / (total.sum() * h)
 
 

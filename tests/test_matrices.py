@@ -185,11 +185,11 @@ def dense_trace_v(m, coeffs):
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("degree", [2, 4, 6])
+@pytest.mark.parametrize("degree", [0, 2, 4, 6])
 def test_stacked_deltas_match_dense_difference(degree, periodic):
-    # windows of radius deg/2 - 1 where they fit as a proper sub-arc of the
-    # cycle (diag from N = deg, offdiag from deg + 1), the whole matrix below;
-    # the sizes straddle both thresholds and that of radius-deg windows
+    # windows of radius max(deg/2 - 1, 0) where they fit as a proper sub-arc
+    # of the cycle (diag from N = deg, offdiag from deg + 1), the whole matrix
+    # below; the sizes straddle both thresholds and that of radius-deg windows
     rng = np.random.default_rng(degree)
     coeffs = np.zeros(degree + 1)
     coeffs[::2] = rng.uniform(0.1, 1.0, degree // 2 + 1)

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import exp1
 from todagibbs import (EmpiricalSpectralMeasure, Grid, GridDensity,
                        SeededStream, bl_bv_distance, ks_distance,
                        log_energy_distance, sample_chi, smooth_empirical)
+from todagibbs.metrics import KDE_MAX_TERMS
 
 from _oracles import atomic_cdf_gap, bathtub_lp, direct_gaussian_kde, fourier_log_energy
 
@@ -199,10 +201,12 @@ def test_smooth_default_bandwidth_floored_at_half_grid_step():
 
 @pytest.mark.parametrize("bandwidth", ["h/2", "h", "default", "half_width"])
 @pytest.mark.parametrize("count", [1, 1001])
-def test_smooth_matches_untruncated_direct_sum(bandwidth, count):
+@pytest.mark.parametrize("m", [400, 16000])
+def test_smooth_matches_untruncated_direct_sum(bandwidth, count, m):
     # the library sums each block of sorted eigenvalues over the grid points
-    # within a few bandwidths; the oracle sums every term at every point
-    g = Grid(4.0, 400)
+    # within a few bandwidths; the oracle sums every term at every point.
+    # On 16000 points a block holds fewer than KDE_CHUNK eigenvalues.
+    g = Grid(4.0, m)
     lo, hi = g.x[0] - g.h / 2, g.x[-1] + g.h / 2
     if count == 1:
         vals = np.array([0.0123])
@@ -216,6 +220,20 @@ def test_smooth_matches_untruncated_direct_sum(bandwidth, count):
     rho = smooth_empirical(es, g, bandwidth=None if bandwidth == "default" else width)
     want = direct_gaussian_kde(es.values, g.x, g.h, width)
     assert np.max(np.abs(rho.values - want)) <= 1e-13 * np.max(want)
+
+
+def test_smooth_memory_is_bounded_on_a_fine_grid():
+    # a bandwidth as wide as the grid puts every point in every block's window;
+    # the blocks shrink so that one table of terms stays near KDE_MAX_TERMS
+    g = Grid(4.0, 50_000)
+    es = EmpiricalSpectralMeasure(np.random.default_rng(2).standard_normal(300))
+    tracemalloc.start()
+    try:
+        smooth_empirical(es, g, bandwidth=g.half_width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * KDE_MAX_TERMS * 8
 
 
 def test_smoothing_bias_shrinks_with_bandwidth():

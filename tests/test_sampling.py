@@ -296,6 +296,19 @@ def test_mcmc_report_invariants():
     assert all(s.periodic and s.n == 50 for s in rep.samples)
 
 
+@pytest.mark.parametrize("n", [3, 30])
+def test_constant_potential_chain_runs(n):
+    # a constant V moves no trace: every delta is 0, and at N = 3 the window
+    # is the whole matrix
+    v = Potential.polynomial([1.0])
+    rep = mcmc_toda(SeededStream(5, n), n, 1.0, v, sweeps=30)
+    assert len(rep.samples) == 24 and all(s.n == n for s in rep.samples)
+    assert all(0.0 < r < 1.0 for r in rep.acceptance.values())
+    last = rep.samples[-1]
+    assert local_trace_delta(last, 1, "diag", 0.3, v) == 0.0
+    assert local_trace_delta(last, 1, "offdiag", 0.3, v) == 0.0
+
+
 @pytest.mark.parametrize("n", [20, 23, 41, 200, 201, 2003])
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_colour_classes_partition_the_cycle_into_spaced_sites(n, degree):
