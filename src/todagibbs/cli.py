@@ -487,3 +487,7 @@ def main(argv=None) -> int:
 
 def script_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    script_entry()

@@ -161,8 +161,7 @@ def _ti_node_task(args):
 
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
-                               thin: int = 5, grid: Grid | None = None, tol: float = 1e-8,
-                               workers: int = 1) -> dict:
+                               thin: int = 5, tol: float = 1e-8, workers: int = 1) -> dict:
     """Thermodynamic integration against the pressure-derivative identity.
 
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
@@ -209,8 +208,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     lhs = float(-np.sum(weights * node_means))
     stderr = float(np.sqrt(np.sum((weights * node_se) ** 2)))
 
-    if grid is None:
-        grid = Grid(domain_auto(p + fd_step, Potential.zero()), 2000)
+    # the V and the V = 0 solves share one grid, wide enough for both measures
+    grid = Grid(max(domain_auto(p + fd_step, v) for v in (w, Potential.zero())), 2000)
     shift_up = coulomb_free_energy_shift(p + fd_step, w, grid, tol=tol)
     shift_dn = coulomb_free_energy_shift(p - fd_step, w, grid, tol=tol)
     rhs = float(((p + fd_step) * shift_up - (p - fd_step) * shift_dn) / (2.0 * fd_step))

@@ -8,15 +8,16 @@ matrix: it folds the cycle into a symmetric band of half-width 2 (see
 ``eigenvalues``); ``to_dense`` exists for tests and oracles.
 
 Traces also avoid the dense matrix.  (M^k)_{jj} is a sum over closed
-length-k walks at j, so ``_power_traces`` gets every Tr M^k, k <= kmax, from
-the walk weights on the cycle lifted to Z in O(N kmax^2); ``trace_power`` and
-``trace_potential`` for polynomial V use it.  A closed walk of length k
-that uses an entry goes out and back, so it stays within (k - 1) // 2 sites
-of it, and the change of Tr V(M) under one symmetric entry-pair update is
-exact from a small dense window around the modified site.
-``_trace_deltas`` stacks the windows of many sites and traces them
-together; ``local_trace_delta`` calls it with one site, and the Metropolis
-chain with a whole colour class.
+length-k walks at j, and such a walk stays within k // 2 sites of j, so
+every trace functional is read off one routine: ``_windows`` stacks the
+small dense windows of M around many sites, and ``_poly_diagonals`` takes
+the diagonal of V(W) for each.  ``trace_power`` and ``trace_potential`` for
+polynomial V sum the centre entry V(M)_jj of the window around each j.  A
+closed walk that uses one entry goes out and back, so it stays within
+(k - 1) // 2 sites of it, and ``_trace_deltas`` gets the change of Tr V(M)
+under one symmetric entry-pair update from the old and the new window
+around the modified site; ``local_trace_delta`` calls it with one site,
+and the Metropolis chain with a whole colour class.
 """
 
 from __future__ import annotations
@@ -172,66 +173,77 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     return EmpiricalSpectralMeasure(vals)
 
 
-def _power_traces(m: PeriodicJacobiMatrix, kmax: int) -> np.ndarray:
-    """Tr M^k for k = 0..kmax, exact for every N.
+def _windows(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
+             before: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (sites, k, k) dense windows of M and each site's position in its window.
 
-    Row i of ``walks`` holds the weights of the length-k walks from i to
-    i + d on the cycle lifted to Z, d = -kmax..kmax; a walk closes on the
-    cycle exactly when d is a multiple of N.  One more step multiplies by
-    the diagonal entry at i + d or moves d by one across the bond it meets.
-    A plain tridiagonal matrix is the cycle with the closing bond set to 0.
-    O(N kmax^2) time and O(N kmax) memory.
+    Window row t holds site + t - ``before``; consecutive rows are coupled by
+    the bond between their sites, and the window is plain tridiagonal.  A
+    plain tridiagonal matrix is the cycle with the closing bond set to 0.
+    When k > N - 1 the window is not a proper sub-arc of the cycle, and
+    every site gets the whole dense matrix instead.
     """
-    n = m.n
-    bonds = m.offdiag if m.periodic else np.append(m.offdiag, 0.0)
-    offsets = np.arange(-kmax, kmax + 1)
-    sites = (np.arange(n)[:, None] + offsets) % n
-    a, b = m.diag[sites], bonds[sites]  # b[:, c] couples i + d_c and i + d_c + 1
-    closed = offsets % n == 0
-    walks = np.zeros((n, offsets.size))
-    walks[:, kmax] = 1.0
-    traces = np.empty(kmax + 1)
-    traces[0] = n
-    for k in range(1, kmax + 1):
-        step = walks * a
-        step[:, 1:] += walks[:, :-1] * b[:, :-1]
-        step[:, :-1] += walks[:, 1:] * b[:, :-1]
-        walks = step
-        traces[k] = walks[:, closed].sum()
-    return traces
+    n = diag.size
+    bonds = off if periodic else np.append(off, 0.0)
+    if k <= n - 1:
+        # bond t couples positions t and t + 1
+        idx = (sites[:, None] + np.arange(-before, k - before)) % n
+        pos = np.full(sites.size, before)
+    else:
+        k = n
+        idx = np.broadcast_to(np.arange(n), (sites.size, n))
+        pos = sites
+    t = np.arange(k)
+    w = np.zeros((sites.size, k, k))
+    w[:, t, t] = diag[idx]
+    w[:, t[:-1], t[1:]] = bonds[idx[:, :-1]]
+    w[:, t[1:], t[:-1]] = bonds[idx[:, :-1]]
+    if k == n and periodic:
+        w[:, 0, n - 1] = w[:, n - 1, 0] = bonds[n - 1]
+    return w, pos
 
 
-def trace_power(m: PeriodicJacobiMatrix, power: int) -> float:
-    """(1/N) Tr(M^power), from the closed walks of ``_power_traces``."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    _require_finite(m)
-    return float(_power_traces(m, power)[power] / m.n)
-
-
-def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
-    """(1/N) Tr V(M).
-
-    Polynomial V is summed against the power traces Tr M^k with no
-    eigensolve; tabulated V is evaluated on the spectrum.
-    """
-    _require_finite(m)
-    if v.is_zero:
-        return 0.0
-    if v.is_polynomial:
-        return float(np.dot(v.coeffs, _power_traces(m, v.degree)) / m.n)
-    return float(np.mean(v(eigenvalues(m).values)))
-
-
-def _trace_poly_windows(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """Tr V(W) for a stack (..., k, k) of small dense symmetric W, V by ascending coeffs."""
-    total = np.full(w.shape[:-2], coeffs[0] * w.shape[-1] if coeffs else 0.0)
+def _poly_diagonals(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Diagonal of V(W) for a stack (..., k, k) of small dense W, V by ascending coeffs."""
+    total = np.full(w.shape[:-1], coeffs[0] if coeffs else 0.0)
     acc = None
     for c in coeffs[1:]:
         acc = w if acc is None else acc @ w
         if c != 0.0:
-            total = total + c * np.trace(acc, axis1=-2, axis2=-1)
+            total = total + c * np.diagonal(acc, axis1=-2, axis2=-1)
     return total
+
+
+def _trace_poly(m: PeriodicJacobiMatrix, coeffs: tuple[float, ...]) -> float:
+    """Tr V(M), V by ascending coeffs, as the sum of the entries V(M)_jj.
+
+    A closed walk of length at most d = deg V at j stays within r = d // 2
+    sites of j, so V(M)_jj is the centre entry of V(W) for the plain
+    tridiagonal window W of radius r around j.  The walk can wrap the cycle
+    only when N <= 2r + 1, where the window is the whole matrix.
+    """
+    r = (len(coeffs) - 1) // 2
+    sites = np.arange(m.n)
+    w, pos = _windows(m.diag, m.offdiag, m.periodic, sites, r, 2 * r + 1)
+    return float(_poly_diagonals(w, coeffs)[sites, pos].sum())
+
+
+def trace_power(m: PeriodicJacobiMatrix, power: int) -> float:
+    """(1/N) Tr(M^power), from the window of radius power // 2 around each site."""
+    if power < 1:
+        raise ValueError("power must be >= 1")
+    _require_finite(m)
+    return _trace_poly(m, (0.0,) * power + (1.0,)) / m.n
+
+
+def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
+    """(1/N) Tr V(M): polynomial V from small dense windows, tabulated V on the spectrum."""
+    _require_finite(m)
+    if v.is_zero:
+        return 0.0
+    if v.is_polynomial:
+        return _trace_poly(m, v.coeffs) / m.n
+    return float(np.mean(v(eigenvalues(m).values)))
 
 
 def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
@@ -243,37 +255,20 @@ def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.n
     spends one step on a diagonal entry, or two on crossing a bond there and
     back, and must return along every other step it takes, so it stays
     within r = (d - 1) // 2 sites of the entry (beyond either end of a
-    bond; r = 0 for constant V): the delta is exact from the dense window of
-    that radius.  The windows of all sites are stacked into one
-    (2, sites, k, k) array, old and new, and traced together.  A plain tridiagonal matrix is the cycle
-    with the closing bond set to 0.  When the arc does not fit as a proper
-    sub-arc of the cycle (N up to about d), the window is the whole matrix.
+    bond; r = 0 for constant V): the delta is exact from the window
+    (``_windows``) of that radius, old and new traced together.
     """
-    n, r = diag.size, max(v.degree - 1, 0) // 2
+    r = max(v.degree - 1, 0) // 2
     sites = np.asarray(sites)
-    bonds = off if periodic else np.append(off, 0.0)
-    k = 2 * r + (1 if kind == "diag" else 2)
-    if k <= n - 1:
-        # arc position t holds site + t - r; bond t couples positions t and t + 1
-        idx = (sites[:, None] + np.arange(-r, k - r)) % n
-        pos = np.full(sites.size, r)
-    else:
-        k = n
-        idx = np.broadcast_to(np.arange(n), (sites.size, n))
-        pos = sites
-    t, rows = np.arange(k), np.arange(sites.size)
-    w = np.zeros((2, sites.size, k, k))
-    w[..., t, t] = diag[idx]
-    w[..., t[:-1], t[1:]] = bonds[idx[:, :-1]]
-    w[..., t[1:], t[:-1]] = bonds[idx[:, :-1]]
-    if k == n and periodic:
-        w[..., 0, n - 1] = w[..., n - 1, 0] = bonds[n - 1]
+    w, pos = _windows(diag, off, periodic, sites, r, 2 * r + (1 if kind == "diag" else 2))
+    w = np.stack([w, w])
+    rows, k = np.arange(sites.size), w.shape[-1]
     if kind == "diag":
         w[1, rows, pos, pos] = new_values
     else:
         w[1, rows, pos, (pos + 1) % k] = new_values
         w[1, rows, (pos + 1) % k, pos] = new_values
-    traces = _trace_poly_windows(w, v.coeffs)
+    traces = _poly_diagonals(w, v.coeffs).sum(axis=-1)
     return traces[1] - traces[0]
 
 

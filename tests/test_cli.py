@@ -27,6 +27,14 @@ def run(tmp_path, command, cfg, out="out", **flags):
     return main(argv), str(tmp_path / out)
 
 
+def source_env():
+    """The environment with this package's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(todagibbs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_sample_determinism_and_moments(tmp_path):
     cfg = {"source": "toda", "n": 400, "p": 1.0, "replicas": 12, "seed": 7}
     rc1, out1 = run(tmp_path, "sample", cfg, out="a")
@@ -174,6 +182,17 @@ def test_checks_auto_grid_holds_the_checks_pressures(tmp_path, monkeypatch):
     assert max(asked) >= 2.4
 
 
+def test_checks_free_energy_grid_holds_a_weakly_confining_v(tmp_path):
+    # V = -0.45x^2 + 0.001x^4 needs a half-width of about 13.6 at P = 1.01,
+    # the V = 0 measure only about 9.2, and both solves share one grid
+    potential = {"type": "polynomial", "coeffs": [0, 0, -0.45, 0, 0.001]}
+    rc, out = run(tmp_path, "checks", {"p": 1.0, "potential": potential,
+                                       "checks": ["free_energy"], "n": 6, "sweeps": 10})
+    assert rc == 0
+    rep = json.load(open(os.path.join(out, "checks.json")))["free_energy"]
+    assert np.isfinite(rep["lhs"]) and np.isfinite(rep["rhs"])
+
+
 def test_mcmc_sample_source(tmp_path):
     cfg = {"source": "mcmc", "n": 30, "p": 1.0, "sweeps": 150, "thin": 4,
            "potential": {"type": "polynomial", "coeffs": [0, 0, 0, 0, 0.1]},
@@ -215,13 +234,27 @@ loaded.append([main(["dos", "--config", {dos_cfg!r}, "--out", {str(tmp_path / "n
 loaded.append([main(["compare", "--config", {cmp_cfg!r}, "--out", {str(tmp_path / "cmp")!r}])] + heavy())
 print(json.dumps(loaded))
 """
-    src = os.path.dirname(os.path.dirname(todagibbs.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0]]
+
+
+def test_module_entry_point_runs(tmp_path):
+    # `python -m todagibbs.cli` from a source checkout, without the console script
+    def module_run(cfg_text, out):
+        path = tmp_path / f"{out}.json"
+        path.write_text(cfg_text)
+        return subprocess.run([sys.executable, "-m", "todagibbs.cli", "dos", "--config",
+                               str(path), "--out", str(tmp_path / out)],
+                              capture_output=True, text=True, env=source_env(), timeout=120)
+
+    proc = module_run(json.dumps({"p": 1.0, "grid": {"m": 200}}), "ok")
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.load(open(tmp_path / "ok" / "manifest.json"))
+    assert manifest["status"] == "complete" and "nu.csv" in manifest["outputs"]
+    proc = module_run("{not json", "bad")
+    assert proc.returncode == 1 and "error:" in proc.stderr
 
 
 def test_missing_config_file():

@@ -111,8 +111,7 @@ def test_free_energy_check_zero_potential_is_exact():
 def test_free_energy_node_doubling_within_stderr():
     # small tilt keeps the quadrature bias far below the Monte Carlo noise
     v = Potential.polynomial([0, 0, 0, 0, 0.02])
-    common = dict(n=40, mc_sweeps=200, seed=5, replicas=3, thin=4,
-                  grid=Grid(domain_auto(1.1, W0), 800))
+    common = dict(n=40, mc_sweeps=200, seed=5, replicas=3, thin=4)
     a = free_energy_relation_check(1.0, v, n_alpha=8, **common)
     b = free_energy_relation_check(1.0, v, n_alpha=16, **common)
     assert abs(a["lhs"] - b["lhs"]) <= math.hypot(a["stderr"], b["stderr"]) * 1.5
@@ -129,8 +128,7 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
 
     monkeypatch.setattr(dos, "_ti_node_task", node_task)
     v = Potential.polynomial([0, 0, 0, 0, 0.1])
-    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10, workers=1,
-                                     grid=Grid(domain_auto(1.1, W0), 200))
+    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10, workers=1)
     assert rep["stderr"] == 0.0
     assert abs(rep["lhs"] + (3.0 / 13.0 + 0.5)) <= 1e-12
     assert rep["node_ess"] == [400.0] * 8

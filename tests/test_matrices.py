@@ -105,9 +105,12 @@ def test_trace_power_small_cases():
 
 
 @pytest.mark.parametrize("periodic,n", [(True, 3), (True, 4), (True, 5), (True, 7),
-                                        (False, 2), (False, 3)])
+                                        (True, 9), (True, 10), (True, 41),
+                                        (False, 2), (False, 3), (False, 10), (False, 41)])
 def test_trace_power_matches_dense(periodic, n):
-    # 2k + 1 > N for most k here: closed walks wrap the cycle several times
+    # up to N = 7 closed walks wrap the cycle and the window is the whole
+    # matrix; the windows of radius k // 2 are proper sub-arcs at N = 9 for
+    # k <= 7, and from N = 10 for every k <= 8
     rng = np.random.default_rng(11 + n)
     m = random_matrix(rng, n, periodic=periodic)
     dense = m.to_dense()
