@@ -409,7 +409,7 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     runners = {
         "beta_mixture": lambda: beta_mixture_check(p, w, grid, n_nodes=n_nodes, tol=tol),
         "free_energy": lambda: free_energy_relation_check(
-            p, w, n=n, mc_sweeps=sweeps, seed=seed, workers=workers, tol=tol),
+            p, w, n=n, mc_sweeps=sweeps, seed=seed, tol=tol),
         "nu_density": lambda: nu_density_relation_check(p, w, grid, tol=tol),
         "d_lipschitz": lambda: d_lipschitz_sweep(w=w, grid=grid),
         "fc_convexity": lambda: fc_convexity_check(w=w, grid=grid, tol=tol),
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", required=True, help="JSON config file")
         cp.add_argument("--seed", type=int, default=None, help="master seed override")
         cp.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the checks free-energy integration")
+                        help="accepted and recorded in the manifest; no command reads it")
         cp.add_argument("--out", default=None, help="output directory override")
     return parser
 

@@ -30,7 +30,7 @@ from .equilibrium import Grid, GridDensity, build_log_kernel, domain_auto, solve
 from .matrices import trace_potential
 from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
-from .sampling import SeededStream, mcmc_toda
+from .sampling import SeededStream, _mcmc_chains
 
 
 # largest clipped negative mass a density of states may carry
@@ -149,19 +149,9 @@ def coulomb_free_energy_shift(p: float, v: Potential, grid: Grid, tol: float = 1
     return -(with_v.free_energy - without.free_energy)
 
 
-def _ti_node_task(args):
-    (seed, stream_id, n, p, v_dict, alpha, sweeps, thin) = args
-    v = Potential.from_dict(v_dict)
-    tilted = v.scaled(alpha)
-    report = mcmc_toda(SeededStream(seed, stream_id), n, p, tilted,
-                       sweeps=sweeps, thin=thin)
-    vals = [trace_potential(m, v) for m in report.samples]
-    return float(np.mean(vals)), float(report.ess), report.acceptance
-
-
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
-                               thin: int = 5, tol: float = 1e-8, workers: int = 1) -> dict:
+                               thin: int = 5, tol: float = 1e-8) -> dict:
     """Thermodynamic integration against the pressure-derivative identity.
 
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
@@ -186,24 +176,21 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     fd_step = min(1e-2, p / 10.0)
 
     alphas, weights = gauss_legendre_unit(n_alpha)
-    tasks = [(seed, k * replicas + r, n, p, w.to_dict(), float(alpha), mc_sweeps, thin)
-             for k, alpha in enumerate(alphas) for r in range(replicas)]
-    if workers > 1:
-        # imported here: loading the process pool costs every command start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ti_node_task, tasks))
-    else:
-        results = [_ti_node_task(t) for t in tasks]
-
-    nodes = [results[k * replicas:(k + 1) * replicas] for k in range(n_alpha)]
-    values = np.array([[res[0] for res in node] for node in nodes])
+    # chain k * replicas + r samples node k on stream k * replicas + r; all
+    # chains advance together as one batched state
+    reports = _mcmc_chains([SeededStream(seed, i) for i in range(n_alpha * replicas)], n, p,
+                           [w.scaled(float(a)) for a in np.repeat(alphas, replicas)],
+                           mc_sweeps, thin)
+    values = np.reshape([np.mean([trace_potential(m, w) for m in r.samples]) for r in reports],
+                        (n_alpha, replicas))
+    ess = np.reshape([r.ess for r in reports], (n_alpha, replicas))
+    rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
+             for kind in ("diag", "offdiag")}
     node_means = values.mean(axis=1)
     node_se = values.std(axis=1, ddof=1) / np.sqrt(replicas)
-    node_ess = [float(sum(res[1] for res in node)) for node in nodes]
-    node_acceptance = [{kind: float(np.mean([res[2][kind] for res in node]))
-                        for kind in node[0][2]} for node in nodes]
+    node_ess = [float(sum(row)) for row in ess]
+    node_acceptance = [{kind: float(rate[k]) for kind, rate in rates.items()}
+                       for k in range(n_alpha)]
 
     lhs = float(-np.sum(weights * node_means))
     stderr = float(np.sqrt(np.sum((weights * node_se) ** 2)))

@@ -175,16 +175,17 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
 
 def _windows(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
              before: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (sites, k, k) dense windows of M and each site's position in its window.
+    """Stacked (..., sites, k, k) dense windows of M and each site's position in its window.
 
+    Leading axes of ``diag`` and ``off`` (one matrix each) lead the windows.
     Window row t holds site + t - ``before``; consecutive rows are coupled by
     the bond between their sites, and the window is plain tridiagonal.  A
     plain tridiagonal matrix is the cycle with the closing bond set to 0.
     When k > N - 1 the window is not a proper sub-arc of the cycle, and
     every site gets the whole dense matrix instead.
     """
-    n = diag.size
-    bonds = off if periodic else np.append(off, 0.0)
+    n = diag.shape[-1]
+    bonds = off if periodic else np.concatenate((off, np.zeros_like(off[..., :1])), axis=-1)
     if k <= n - 1:
         # bond t couples positions t and t + 1
         idx = (sites[:, None] + np.arange(-before, k - before)) % n
@@ -194,22 +195,24 @@ def _windows(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarra
         idx = np.broadcast_to(np.arange(n), (sites.size, n))
         pos = sites
     t = np.arange(k)
-    w = np.zeros((sites.size, k, k))
-    w[:, t, t] = diag[idx]
-    w[:, t[:-1], t[1:]] = bonds[idx[:, :-1]]
-    w[:, t[1:], t[:-1]] = bonds[idx[:, :-1]]
+    w = np.zeros(diag.shape[:-1] + (sites.size, k, k))
+    w[..., t, t] = diag[..., idx]
+    w[..., t[:-1], t[1:]] = w[..., t[1:], t[:-1]] = bonds[..., idx[:, :-1]]
     if k == n and periodic:
-        w[:, 0, n - 1] = w[:, n - 1, 0] = bonds[n - 1]
+        w[..., 0, n - 1] = w[..., n - 1, 0] = bonds[..., n - 1, None]
     return w, pos
 
 
-def _poly_diagonals(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """Diagonal of V(W) for a stack (..., k, k) of small dense W, V by ascending coeffs."""
+def _poly_diagonals(w: np.ndarray, coeffs) -> np.ndarray:
+    """Diagonal of V(W) for a stack (..., k, k) of small dense W, V by ascending coeffs.
+
+    A coefficient is a float (skipped when 0) or an array, one per window.
+    """
     total = np.full(w.shape[:-1], coeffs[0] if coeffs else 0.0)
     acc = None
     for c in coeffs[1:]:
         acc = w if acc is None else acc @ w
-        if c != 0.0:
+        if isinstance(c, np.ndarray) or c != 0.0:
             total = total + c * np.diagonal(acc, axis1=-2, axis2=-1)
     return total
 
@@ -220,12 +223,14 @@ def _trace_poly(m: PeriodicJacobiMatrix, coeffs: tuple[float, ...]) -> float:
     A closed walk of length at most d = deg V at j stays within r = d // 2
     sites of j, so V(M)_jj is the centre entry of V(W) for the plain
     tridiagonal window W of radius r around j.  The walk can wrap the cycle
-    only when N <= 2r + 1, where the window is the whole matrix.
+    only when N <= 2r + 1, where one whole matrix is built and its diagonal summed.
     """
     r = (len(coeffs) - 1) // 2
-    sites = np.arange(m.n)
+    whole = 2 * r + 1 > m.n - 1
+    sites = np.arange(1 if whole else m.n)
     w, pos = _windows(m.diag, m.offdiag, m.periodic, sites, r, 2 * r + 1)
-    return float(_poly_diagonals(w, coeffs)[sites, pos].sum())
+    diagonals = _poly_diagonals(w, coeffs)
+    return float((diagonals if whole else diagonals[sites, pos]).sum())
 
 
 def trace_power(m: PeriodicJacobiMatrix, power: int) -> float:
@@ -247,28 +252,30 @@ def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
 
 
 def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
-                  kind: str, new_values: np.ndarray, v: Potential) -> np.ndarray:
+                  kind: str, new_values: np.ndarray, coeffs) -> np.ndarray:
     """Tr V(M') - Tr V(M) per site for polynomial V, M' replacing that site's entry pair.
 
-    Each move is taken alone against M.  Only the closed walks of length at
-    most d = deg V that use the changed entry see the change.  Such a walk
+    V has ``coeffs`` as in ``_poly_diagonals``; leading axes of ``diag``,
+    ``off`` and ``new_values`` hold one matrix each.  Each move is taken
+    alone against M.  Only the closed walks of length at most d = deg V that
+    use the changed entry see the change.  Such a walk
     spends one step on a diagonal entry, or two on crossing a bond there and
     back, and must return along every other step it takes, so it stays
     within r = (d - 1) // 2 sites of the entry (beyond either end of a
     bond; r = 0 for constant V): the delta is exact from the window
     (``_windows``) of that radius, old and new traced together.
     """
-    r = max(v.degree - 1, 0) // 2
+    r = max(len(coeffs) - 2, 0) // 2
     sites = np.asarray(sites)
     w, pos = _windows(diag, off, periodic, sites, r, 2 * r + (1 if kind == "diag" else 2))
-    w = np.stack([w, w])
+    w = np.array((w, w))
     rows, k = np.arange(sites.size), w.shape[-1]
     if kind == "diag":
-        w[1, rows, pos, pos] = new_values
+        w[1][..., rows, pos, pos] = new_values
     else:
-        w[1, rows, pos, (pos + 1) % k] = new_values
-        w[1, rows, (pos + 1) % k, pos] = new_values
-    traces = _poly_diagonals(w, v.coeffs).sum(axis=-1)
+        w[1][..., rows, pos, (pos + 1) % k] = new_values
+        w[1][..., rows, (pos + 1) % k, pos] = new_values
+    traces = _poly_diagonals(w, coeffs).sum(axis=-1)
     return traces[1] - traces[0]
 
 
@@ -283,21 +290,15 @@ def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
     if not v.is_polynomial:
         raise TypeError("local_trace_delta needs a polynomial potential")
     _require_finite(m)
-    if kind == "diag":
-        if not 0 <= site < m.n:
-            raise ValueError("diag site out of range")
-    elif kind == "offdiag":
-        if not 0 <= site < m.offdiag.size:
-            raise ValueError("offdiag site out of range")
-    else:
+    entries = {"diag": m.diag, "offdiag": m.offdiag}.get(kind)
+    if entries is None:
         raise ValueError(f"kind must be 'diag' or 'offdiag', got {kind!r}")
-    if v.is_zero:
-        return 0.0
-    old_value = m.diag[site] if kind == "diag" else m.offdiag[site]
-    if new_value == old_value:
+    if not 0 <= site < entries.size:
+        raise ValueError(f"{kind} site out of range")
+    if v.is_zero or new_value == entries[site]:
         return 0.0
     return float(_trace_deltas(m.diag, m.offdiag, m.periodic, np.array([site]), kind,
-                               np.array([new_value]), v)[0])
+                               np.array([new_value]), v.coeffs)[0])
 
 
 # -- text dump format ---------------------------------------------------

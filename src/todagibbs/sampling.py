@@ -262,29 +262,9 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     takes exact Tr V changes from dense local windows, stacked per class;
     when N < 4 deg V + 4 every class is one site, in site order.  Tabulated
     V recomputes the full spectrum per move, so it runs one site at a time,
-    and is limited to N <= 400.
+    and is limited to N <= 400.  This is the batch of one of ``_mcmc_chains``.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not p > 0:
-        raise ValueError("pressure p must be positive")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
-    if not (proposal_scales[0] > 0 and proposal_scales[1] > 0):
-        raise ValueError("proposal scales must be positive")
-    v.require_confining()
-    if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
-        raise ValueError(
-            f"tabulated potentials recompute full spectra per move; N <= {TABULATED_MCMC_MAX_N}"
-        )
-
-    rng = stream.generator()
-    burn = int(BURN_IN_FRACTION * sweeps)
-    if v.is_zero:
-        return _run_exact_chain(rng, n, p, sweeps, burn, thin)
-    return _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales)
+    return _mcmc_chains([stream], n, p, [v], sweeps, thin, proposal_scales)[0]
 
 
 def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
@@ -303,105 +283,137 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
         ess=float(len(samples)),
         sweeps=sweeps,
         trace_sq_series=np.asarray(t2_series),
-        proposal_scales=(0.0, 0.0),
     )
 
 
-def _run_metropolis_chain(rng, n, p, v, sweeps, burn, thin, proposal_scales) -> McmcReport:
-    diag, off = _draw_entries(rng, n, np.full(n, p))
+def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int = 1,
+                 proposal_scales=(0.5, 0.5)) -> list[McmcReport]:
+    """``mcmc_toda`` chains, one per stream and potential, advanced as one (chains, N) state.
+
+    The potentials share kind and degree, hence the colour classes.  Chain c
+    draws what ``mcmc_toda(streams[c], n, p, potentials[c], ...)`` draws, in
+    the same order, and matches it bit for bit.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if not p > 0:
+        raise ValueError("pressure p must be positive")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if not (proposal_scales[0] > 0 and proposal_scales[1] > 0):
+        raise ValueError("proposal scales must be positive")
+    if len({(u.kind, len(u.coeffs)) for u in potentials}) != 1:
+        raise ValueError("batched chains need potentials of one kind and degree")
+    for u in potentials:
+        u.require_confining()
+    v = potentials[0]
+    if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
+        raise ValueError(
+            f"tabulated potentials recompute full spectra per move; N <= {TABULATED_MCMC_MAX_N}"
+        )
+
+    rngs = [stream.generator() for stream in streams]
+    burn = int(BURN_IN_FRACTION * sweeps)
+    if v.is_zero:
+        return [_run_exact_chain(rng, n, p, sweeps, burn, thin) for rng in rngs]
+
+    chains = len(rngs)
+    diag, off = (np.array(x) for x in zip(*(_draw_entries(rng, n, np.full(n, p))
+                                            for rng in rngs)))
+    # a tabulated V's every move reads the whole spectrum: singleton classes
+    classes = _colour_classes(n, v.degree if v.is_polynomial else n)
     if v.is_polynomial:
-        classes = _colour_classes(n, v.degree)
+        # a power's coefficient stays a float (so a zero is skipped) where all chains share it
+        coeffs = tuple(float(col[0]) if np.all(col == col[0]) else col[:, None, None]
+                       for col in np.array([u.coeffs for u in potentials]).T)
 
         def delta_tr(sites, kind, new_values):
-            return _trace_deltas(diag, off, True, sites, kind, new_values, v)
+            return _trace_deltas(diag, off, True, sites, kind, new_values, coeffs)
     else:
-        # every move reads the whole spectrum: singleton classes, and Tr V(M)
-        # of the current state kept for the delta
-        classes = _colour_classes(n, n)
-        trv = n * trace_potential(PeriodicJacobiMatrix(diag, off, periodic=True), v)
+        # Tr V(M) of each chain's current state, kept for the delta
+        trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), u)
+                        for d, o, u in zip(diag, off, potentials)])
 
         def delta_tr(sites, kind, new_values):
-            changed = PeriodicJacobiMatrix(diag, off, periodic=True).with_entry(
-                int(sites[0]), kind, float(new_values[0]))
-            return np.array([n * trace_potential(changed, v) - trv])
+            return np.array([[n * trace_potential(PeriodicJacobiMatrix(d, o).with_entry(
+                int(sites[0]), kind, float(x[0])), u) - t]
+                for d, o, x, u, t in zip(diag, off, new_values, potentials, trv)])
 
-    scales = {"diag": float(proposal_scales[0]), "offdiag": float(proposal_scales[1])}
-    accepted = dict.fromkeys(scales, 0)
-    proposed = dict.fromkeys(scales, 0)
+    # diag then offdiag, each a (chains, 1) column
+    scales = np.ones((2, chains, 1)) * np.reshape(proposal_scales, (2, 1, 1))
+    accepted, proposed = np.zeros((2, chains), dtype=int), 0
     # every 25 sweeps, or once at the end of a shorter burn-in
     adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
 
-    samples, t2_series = [], []
+    # the state and the draws are indexed flat: a class's sites in every chain
+    flat_diag, flat_off = diag.reshape(-1), off.reshape(-1)
+    flat_classes = [(sites, sites + n * np.arange(chains)[:, None]) for sites in classes]
+    moved = np.zeros((2, chains * n), dtype=bool)
+    samples, t2_series = [[] for _ in rngs], []
 
     for sweep in range(sweeps):
-        scale_a, scale_b = scales["diag"], scales["offdiag"]
-        xi_a = rng.standard_normal(n)
-        log_u_a = np.log(rng.random(n))
-        xi_b = rng.standard_normal(n)
-        log_u_b = np.log(rng.random(n))
-        for sites in classes:
+        xi_a, log_u_a, xi_b, log_u_b = (np.concatenate(x) for x in zip(*(
+            (rng.standard_normal(n), np.log(rng.random(n)),
+             rng.standard_normal(n), np.log(rng.random(n))) for rng in rngs)))
+        for sites, at in flat_classes:
             # diagonal moves: Gaussian random walk
-            a_old = diag[sites]
-            a_new = a_old + scale_a * xi_a[sites]
+            a_old = flat_diag[at]
+            a_new = a_old + scales[0] * xi_a[at]
             dtrv = delta_tr(sites, "diag", a_new)
-            ok = log_u_a[sites] < _log_accept_a(a_old, a_new, dtrv)
-            diag[sites[ok]] = a_new[ok]
-            proposed["diag"] += sites.size
-            accepted["diag"] += int(ok.sum())
+            ok = log_u_a[at] < _log_accept_a(a_old, a_new, dtrv)
+            flat_diag[at[ok]] = a_new[ok]
+            moved[0, at] = ok
             if not v.is_polynomial:
-                trv += float(dtrv[ok].sum())
+                trv += np.where(ok, dtrv, 0.0)[:, 0]
             # off-diagonal moves: multiplicative log-normal random walk; a
             # proposal that overflows or is not positive is rejected
-            b_old = off[sites]
+            b_old = flat_off[at]
             with np.errstate(over="ignore", invalid="ignore"):
-                b_new = b_old * np.exp(scale_b * xi_b[sites])
+                b_new = b_old * np.exp(scales[1] * xi_b[at])
                 valid = (b_new > 0.0) & np.isfinite(b_new)
                 b_new = np.where(valid, b_new, b_old)
                 dtrv = delta_tr(sites, "offdiag", b_new)
-                ok = valid & (log_u_b[sites] < _log_accept_b(b_old, b_new, p, dtrv))
-            off[sites[ok]] = b_new[ok]
-            proposed["offdiag"] += sites.size
-            accepted["offdiag"] += int(ok.sum())
+                ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, dtrv))
+            flat_off[at[ok]] = b_new[ok]
+            moved[1, at] = ok
             if not v.is_polynomial:
-                trv += float(dtrv[ok].sum())
+                trv += np.where(ok, dtrv, 0.0)[:, 0]
+        # the classes partition the sites: each move was recorded once
+        accepted += moved.reshape(2, chains, n).sum(axis=2)
+        proposed += n
 
         if sweep < burn:
             if adapt_interval and (sweep + 1) % adapt_interval == 0:
-                for kind in scales:
-                    rate = accepted[kind] / max(proposed[kind], 1)
-                    if rate > 0.40:
-                        scales[kind] = min(scales[kind] * 1.25, 10.0)
-                    elif rate < 0.30:
-                        scales[kind] = max(scales[kind] / 1.25, 1e-3)
-                accepted = dict.fromkeys(scales, 0)
-                proposed = dict.fromkeys(scales, 0)
+                rate = (accepted / max(proposed, 1))[..., None]
+                scales = np.where(rate > 0.40, np.minimum(scales * 1.25, 10.0),
+                                  np.where(rate < 0.30, np.maximum(scales / 1.25, 1e-3), scales))
+                accepted[:], proposed = 0, 0
             continue
 
-        t2_series.append((np.sum(diag ** 2) + 2.0 * np.sum(off ** 2)) / n)
+        t2_series.append((np.sum(diag ** 2, axis=1) + 2.0 * np.sum(off ** 2, axis=1)) / n)
         if (sweep - burn) % thin == 0:
-            samples.append(PeriodicJacobiMatrix(diag, off, periodic=True))
+            for chain_samples, d, o in zip(samples, diag, off):
+                chain_samples.append(PeriodicJacobiMatrix(d, o, periodic=True))
 
-    t2_series = np.asarray(t2_series)
-    tau_sweeps = integrated_autocorr_time(t2_series)
-    thinned = t2_series[::thin]
-    tau_thinned = integrated_autocorr_time(thinned)
-    ess = float(len(samples) / max(tau_thinned, 1.0))
-    rates = {k: accepted[k] / max(proposed[k], 1) for k in accepted}
-    return McmcReport(
-        samples=samples,
-        acceptance=rates,
-        autocorr_time=float(tau_sweeps),
-        ess=min(ess, float(len(samples))),
+    rates = accepted / max(proposed, 1)
+    series = np.ascontiguousarray(np.transpose(t2_series))
+    return [McmcReport(
+        samples=kept,
+        acceptance={"diag": float(rates[0, c]), "offdiag": float(rates[1, c])},
+        autocorr_time=integrated_autocorr_time(series[c]),
+        ess=len(kept) / integrated_autocorr_time(series[c, ::thin]),
         sweeps=sweeps,
-        trace_sq_series=t2_series,
-        proposal_scales=(scales["diag"], scales["offdiag"]),
-    )
+        trace_sq_series=series[c],
+        proposal_scales=(float(scales[0, c, 0]), float(scales[1, c, 0])),
+    ) for c, kept in enumerate(samples)]
 
 
 def replica_map(fn, replicas: int, master_seed: int, workers: int = 1) -> list:
     """Run fn(stream) for stream ids 0..replicas-1, serially in id order.
 
-    ``workers`` is ignored and stays only for callers that pass it: the
-    LAPACK wrappers hold the GIL, so threads give no speed-up.
+    ``workers`` is ignored (the LAPACK wrappers hold the GIL, so threads gain
+    nothing); it stays only because the benchmark harness passes and binds it.
     """
     return [fn(SeededStream(master_seed, i)) for i in range(replicas)]

@@ -49,13 +49,19 @@ def test_sample_determinism_and_moments(tmp_path):
     assert abs(summary["trace_power2_mean"] - 3.0) <= tol
 
 
+# a small free-energy check under V = 0.1 x^4
+FREE_ENERGY_CHECK = {"p": 1.0, "potential": {"type": "polynomial", "coeffs": [0, 0, 0, 0, 0.1]},
+                     "checks": ["free_energy"], "n": 12, "sweeps": 20}
+
+
 def test_sample_worker_count_does_not_change_digests(tmp_path):
-    cfg = {"source": "toda", "n": 200, "p": 0.5, "replicas": 6, "seed": 3}
-    _, out1 = run(tmp_path, "sample", cfg, out="w1", workers=1)
-    _, out2 = run(tmp_path, "sample", cfg, out="w3", workers=3)
-    d1 = json.load(open(os.path.join(out1, "manifest.json")))["outputs"]
-    d2 = json.load(open(os.path.join(out2, "manifest.json")))["outputs"]
-    assert d1 == d2
+    sample_cfg = {"source": "toda", "n": 200, "p": 0.5, "replicas": 6, "seed": 3}
+    for command, cfg in (("sample", sample_cfg), ("checks", FREE_ENERGY_CHECK)):
+        _, out1 = run(tmp_path, command, cfg, out=f"{command}_w1", workers=1)
+        _, out2 = run(tmp_path, command, cfg, out=f"{command}_w3", workers=3)
+        d1 = json.load(open(os.path.join(out1, "manifest.json")))["outputs"]
+        d2 = json.load(open(os.path.join(out2, "manifest.json")))["outputs"]
+        assert d1 == d2
 
 
 def test_sample_beta_two_sites(tmp_path):
@@ -215,14 +221,15 @@ def test_mcmc_sample_source(tmp_path):
 
 
 def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
-    # scipy.linalg and the process pool are most of the CLI's start-up; only
-    # the eigensolve of `sample` and a multi-worker free-energy check need them
+    # scipy.linalg is most of the CLI's start-up, and only the eigensolve of
+    # `sample` needs it; no command starts a process pool, whatever --workers
     eig = tmp_path / "eig.csv"
     eig.write_text("replica,lambda\n" + "".join(
         f"0,{x:.17g}\n" for x in np.linspace(-2.0, 2.0, 300)))
     dos_cfg = write_config(tmp_path, "dos.json", {"p": 1.0, "grid": {"m": 200}})
     cmp_cfg = write_config(tmp_path, "cmp.json", {
         "eigenvalues_csv": str(eig), "density_csv": str(tmp_path / "nu" / "nu.csv")})
+    checks_cfg = write_config(tmp_path, "checks.json", FREE_ENERGY_CHECK)
     script = f"""
 import json, sys
 from todagibbs.cli import main
@@ -232,12 +239,14 @@ def heavy():
 loaded = [heavy()]
 loaded.append([main(["dos", "--config", {dos_cfg!r}, "--out", {str(tmp_path / "nu")!r}])] + heavy())
 loaded.append([main(["compare", "--config", {cmp_cfg!r}, "--out", {str(tmp_path / "cmp")!r}])] + heavy())
+loaded.append([main(["checks", "--config", {checks_cfg!r}, "--out", {str(tmp_path / "checks")!r},
+                     "--workers", "2"])] + heavy())
 print(json.dumps(loaded))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0]]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from todagibbs import dos
-from todagibbs import (Grid, Potential, VarianceProfile,
+from todagibbs import (Grid, McmcReport, PeriodicJacobiMatrix, Potential, VarianceProfile,
                        beta_mixture_check, d_lipschitz_sweep,
                        domain_auto, dos_from_equilibrium, fc_convexity_check,
                        free_energy_relation_check, mixture_over_profile,
@@ -123,12 +123,19 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
     def integrand(alpha):
         return 3.0 * (1.0 - alpha) ** 12 + alpha
 
-    def node_task(args):
-        return integrand(args[5]), 100.0, {"diag": 0.25, "offdiag": 0.75}
+    def chains(streams, n, p, potentials, sweeps, thin):
+        # the chain under alpha V yields a diagonal matrix with (1/N) Tr V = integrand(alpha)
+        reports = []
+        for tilted in potentials:
+            x = (integrand(tilted.coeffs[4] / 0.1) / 0.1) ** 0.25
+            sample = PeriodicJacobiMatrix(np.full(n, x), np.zeros(n))
+            reports.append(McmcReport([sample] * 100, {"diag": 0.25, "offdiag": 0.75},
+                                      1.0, 100.0, sweeps))
+        return reports
 
-    monkeypatch.setattr(dos, "_ti_node_task", node_task)
+    monkeypatch.setattr(dos, "_mcmc_chains", chains)
     v = Potential.polynomial([0, 0, 0, 0, 0.1])
-    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10, workers=1)
+    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10)
     assert rep["stderr"] == 0.0
     assert abs(rep["lhs"] + (3.0 / 13.0 + 0.5)) <= 1e-12
     assert rep["node_ess"] == [400.0] * 8

@@ -204,7 +204,7 @@ def test_stacked_deltas_match_dense_difference(degree, periodic):
         for kind, size in (("diag", n), ("offdiag", m.offdiag.size)):
             sites = np.arange(size) if n <= 41 else np.array([0, 1, 57, size - 2, size - 1])
             new = rng.standard_normal(sites.size) ** 2 + 0.05
-            got = _trace_deltas(m.diag, m.offdiag, periodic, sites, kind, new, v)
+            got = _trace_deltas(m.diag, m.offdiag, periodic, sites, kind, new, v.coeffs)
             want = [dense_trace_v(m.with_entry(s, kind, x), coeffs) - base
                     for s, x in zip(sites, new)]
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(base))

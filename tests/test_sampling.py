@@ -12,7 +12,7 @@ from todagibbs import (NonConfiningError, Potential,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_chi, sample_coupled_toda,
                        sample_profile_matrix, sample_toda_matrix, trace_power)
-from todagibbs.sampling import _colour_classes, _log_accept_a, _log_accept_b
+from todagibbs.sampling import _colour_classes, _log_accept_a, _log_accept_b, _mcmc_chains
 from todagibbs.matrices import local_trace_delta
 
 from _oracles import sequential_metropolis_sweeps
@@ -340,6 +340,30 @@ def test_class_sweeps_match_sequential_dense_oracle(n):
         assert np.max(np.abs(sample.diag - d)) <= 1e-9
         assert np.max(np.abs(sample.offdiag - o)) <= 1e-9
     assert all(0.0 < r < 1.0 for r in rep.acceptance.values())
+
+
+@pytest.mark.parametrize("n", [5, 40])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_batched_chains_match_mcmc_toda_chain_by_chain(degree, n):
+    # several tilts alpha V in one batch, so the coefficients differ per chain;
+    # at N = 5 the classes are single sites and degree 6 takes whole-matrix
+    # windows; 60 sweeps adapt the scales once, after a 12-sweep burn-in
+    v = Potential.polynomial([0.0] * degree + [1.0])
+    tilted = [v.scaled(alpha) for alpha in (0.05, 1.0, 8.0)]
+    streams = [SeededStream(3, i) for i in range(len(tilted))]
+    kwargs = dict(sweeps=60, thin=2, proposal_scales=(1.5, 1.5))
+    batch = _mcmc_chains(streams, n, 1.0, tilted, **kwargs)
+    for stream, u, got in zip(streams, tilted, batch, strict=True):
+        want = mcmc_toda(stream, n, 1.0, u, **kwargs)
+        assert len(got.samples) == len(want.samples) == 24
+        for a, b in zip(got.samples, want.samples):
+            assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
+        assert got.acceptance == want.acceptance
+        assert got.proposal_scales == want.proposal_scales
+        assert got.autocorr_time == want.autocorr_time and got.ess == want.ess
+        assert np.array_equal(got.trace_sq_series, want.trace_sq_series)
+    # the adaptation moved each chain's scales by its own acceptance
+    assert len({rep.proposal_scales for rep in batch}) > 1
 
 
 def test_short_burn_in_adapts_proposal_scales():
