@@ -22,7 +22,7 @@ from .matrices import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        trace_power)
 from .metrics import (bl_bv_distance, ks_distance, log_energy_distance,
                       smooth_empirical)
-from .potentials import NonConfiningError, Potential, PotentialDomainError
+from .potentials import NonConfiningError, Potential
 from .sampling import (McmcReport, SeededStream, VarianceProfile,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_chi, sample_coupled_toda,
@@ -30,7 +30,7 @@ from .sampling import (McmcReport, SeededStream, VarianceProfile,
 
 __all__ = [
     "__version__",
-    "Potential", "PotentialDomainError", "NonConfiningError",
+    "Potential", "NonConfiningError",
     "PeriodicJacobiMatrix", "EmpiricalSpectralMeasure", "InvalidMatrixError",
     "eigenvalues", "trace_power", "trace_potential", "local_trace_delta",
     "dump_matrix", "load_matrix",

@@ -9,7 +9,8 @@ the same config and seed produce identical digests regardless of worker count.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  Config
 values are validated up front, before the run directory is opened; any other
-exception is a bug and propagates with its traceback.
+exception is a bug and propagates with its traceback.  A run that raises after
+its directory opens leaves its manifest at status "failed".
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
                           NonConvergedError, domain_auto, solve_equilibrium)
 from .matrices import EmpiricalSpectralMeasure, eigenvalues, matrix_text, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
-from .potentials import NonConfiningError, Potential, PotentialDomainError
+from .potentials import NonConfiningError, Potential
 from .sampling import (TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
                        replica_map, sample_beta_matrix, sample_profile_matrix,
                        sample_toda_matrix)
@@ -135,11 +136,13 @@ def _json_text(obj) -> str:
 
 
 class RunDir:
-    """The output directory of one run and its manifest.
+    """The output directory of one run and its manifest, as a context manager.
 
     Opening it writes ``manifest.json`` with status "running".  ``write`` puts
-    one output in place atomically and records its name; ``finish`` digests
-    exactly the recorded files and marks the manifest complete.
+    one output in place atomically and records its name.  Leaving the block
+    digests exactly the recorded files and marks the manifest "complete"; if
+    the block raised, the manifest is marked "failed" with the exception's
+    class and message, and the exception propagates.
     """
 
     def __init__(self, out_dir: str, command: str, cfg: dict, seed: int, workers: int):
@@ -166,13 +169,19 @@ class RunDir:
         self._replace(name, content if isinstance(content, str) else _json_text(content))
         self._names.append(name)
 
-    def finish(self) -> None:
-        digests = {}
-        for name in self._names:
-            with open(os.path.join(self._dir, name), "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        self._manifest.update(outputs=digests, status="complete",
-                              wall_clock_seconds=time.time() - self._t0)
+    def __enter__(self) -> "RunDir":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if exc is None:
+            digests = {}
+            for name in self._names:
+                with open(os.path.join(self._dir, name), "rb") as fh:
+                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
+            self._manifest.update(outputs=digests, status="complete",
+                                  wall_clock_seconds=time.time() - self._t0)
+        else:
+            self._manifest.update(status="failed", error=f"{kind.__name__}: {exc}")
         self._replace("manifest.json", _json_text(self._manifest))
 
 
@@ -212,40 +221,40 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     else:
         replicas = _positive_int(cfg, "replicas")
 
-    run = RunDir(out_dir, "sample", cfg, seed, workers)
-    extra: dict = {}
-    if source == "mcmc":
-        report = mcmc_toda(SeededStream(seed, 0), n, p, potential, sweeps=sweeps,
-                           thin=thin, proposal_scales=scales)
-        samples = report.samples
-        extra = {"acceptance": report.acceptance, "autocorr_time": report.autocorr_time,
-                 "ess": report.ess, "sweeps": report.sweeps,
-                 "proposal_scales": list(report.proposal_scales)}
-        if dump_samples:
-            for k, sample in enumerate(samples):
-                run.write(f"sample_{k:05d}.txt", matrix_text(sample))
-    else:
-        draw = {"toda": sample_toda_matrix, "beta": sample_beta_matrix,
-                "profile": sample_profile_matrix}[source]
-        samples = replica_map(lambda stream: draw(stream, n, p), replicas, seed)
-    spectra = [eigenvalues(sample).values for sample in samples]
-    t2 = np.array([trace_power(sample, 2) for sample in samples])
+    with RunDir(out_dir, "sample", cfg, seed, workers) as run:
+        extra: dict = {}
+        if source == "mcmc":
+            report = mcmc_toda(SeededStream(seed, 0), n, p, potential, sweeps=sweeps,
+                               thin=thin, proposal_scales=scales)
+            samples = report.samples
+            extra = {"acceptance": report.acceptance, "autocorr_time": report.autocorr_time,
+                     "ess": report.ess, "sweeps": report.sweeps,
+                     "proposal_scales": list(report.proposal_scales)}
+            if dump_samples:
+                for k, sample in enumerate(samples):
+                    run.write(f"sample_{k:05d}.txt", matrix_text(sample))
+        else:
+            draw = {"toda": sample_toda_matrix, "beta": sample_beta_matrix,
+                    "profile": sample_profile_matrix}[source]
+            samples = replica_map(lambda stream: draw(stream, n, p), replicas, seed)
+        spectra = [eigenvalues(sample).values for sample in samples]
+        t2 = np.array([trace_power(sample, 2) for sample in samples])
 
-    run.write("eigenvalues.csv", "replica,lambda\n" + "".join(
-        f"{k},{v:.17g}\n" for k, vals in enumerate(spectra) for v in vals))
-    allvals = np.concatenate(spectra)
-    run.write("summary.json", {
-        "source": source,
-        "n": n,
-        "replica_count": len(samples),
-        "eigenvalue_count": int(allvals.size),
-        "moments": {str(k): float(np.mean(allvals ** k)) for k in (1, 2, 3, 4)},
-        "trace_power2_mean": float(t2.mean()),
-        "trace_power2_stderr": float(t2.std(ddof=1) / np.sqrt(t2.size)) if t2.size > 1 else 0.0,
-        "run": run.echo,
-        **extra,
-    })
-    run.finish()
+        run.write("eigenvalues.csv", "replica,lambda\n" + "".join(
+            f"{k},{v:.17g}\n" for k, vals in enumerate(spectra) for v in vals))
+        allvals = np.concatenate(spectra)
+        run.write("summary.json", {
+            "source": source,
+            "n": n,
+            "replica_count": len(samples),
+            "eigenvalue_count": int(allvals.size),
+            "moments": {str(k): float(np.mean(allvals ** k)) for k in (1, 2, 3, 4)},
+            "trace_power2_mean": float(t2.mean()),
+            "trace_power2_stderr": (float(t2.std(ddof=1) / np.sqrt(t2.size))
+                                    if t2.size > 1 else 0.0),
+            "run": run.echo,
+            **extra,
+        })
     return 0
 
 
@@ -261,13 +270,12 @@ def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     max_iter = _value(cfg, "max_iter", 10000, _integer, lambda v: v >= 0,
                       "a nonnegative integer")
 
-    run = RunDir(out_dir, "solve", cfg, seed, workers)
-    solution = solve_equilibrium(p, w, grid, tol=tol, max_iter=max_iter)
-    run.write("density.csv", solution.density.to_csv_text())
-    record = solution.to_json_dict(density_file="density.csv")
-    record["second_moment"] = solution.density.moment(2)
-    run.write("solution.json", record)
-    run.finish()
+    with RunDir(out_dir, "solve", cfg, seed, workers) as run:
+        solution = solve_equilibrium(p, w, grid, tol=tol, max_iter=max_iter)
+        run.write("density.csv", solution.density.to_csv_text())
+        record = solution.to_json_dict(density_file="density.csv")
+        record["second_moment"] = solution.density.moment(2)
+        run.write("solution.json", record)
     if not solution.converged:
         raise NonConvergenceExit(
             f"equilibrium solve did not converge: residual {solution.residual:.3e}")
@@ -296,20 +304,19 @@ def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
                          f"a number in (0, p/2) = (0, {p / 2:g})")
     tol = _positive_float(cfg, "tol", 1e-8)
 
-    run = RunDir(out_dir, "dos", cfg, seed, workers)
-    if mode == "profile":
-        nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
-        report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
-    else:
-        result = dos_from_equilibrium(p, w, grid, h_p=h_p, tol=tol)
-        nu = result.nu
-        report = {"mode": "single", "P": p, "fd_step": result.fd_step,
-                  "negativity": result.negativity}
-    run.write("nu.csv", nu.to_csv_text())
-    run.write("report.json", {**report, "mass": nu.mass(),
-                              "moments": {str(k): nu.moment(k) for k in (1, 2, 3, 4)},
-                              "run": run.echo})
-    run.finish()
+    with RunDir(out_dir, "dos", cfg, seed, workers) as run:
+        if mode == "profile":
+            nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
+            report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
+        else:
+            result = dos_from_equilibrium(p, w, grid, h_p=h_p, tol=tol)
+            nu = result.nu
+            report = {"mode": "single", "P": p, "fd_step": result.fd_step,
+                      "negativity": result.negativity}
+        run.write("nu.csv", nu.to_csv_text())
+        run.write("report.json", {**report, "mass": nu.mass(),
+                                  "moments": {str(k): nu.moment(k) for k in (1, 2, 3, 4)},
+                                  "run": run.echo})
     return 0
 
 
@@ -348,28 +355,27 @@ def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
                         f"a number >= h/2 = {grid.h / 2:.6g}, half the density grid's step")
                  if cfg.get("bandwidth") is not None else None)
 
-    run = RunDir(out_dir, "compare", cfg, seed, workers)
-    if isinstance(empirical, GridDensity):
-        smoothed = empirical
-        histogram = empirical.values
-        count = grid.m
-    else:
-        smoothed = smooth_empirical(empirical, grid, bandwidth=bandwidth)
-        histogram = np.histogram(empirical.values, bins=edges)[0] / (len(empirical) * grid.h)
-        count = len(empirical)
-    report = {
-        "bl_bv_distance": bl_bv_distance(empirical, density),
-        "ks_distance": ks_distance(empirical, density),
-        "log_energy_distance": log_energy_distance(smoothed, density),
-        "moments_empirical": {str(k): empirical.moment(k) for k in (1, 2, 3, 4)},
-        "moments_theoretical": {str(k): density.moment(k) for k in (1, 2, 3, 4)},
-        "eigenvalue_count": count,
-        "run": run.echo,
-    }
-    run.write("overlay.csv", "x,rho_theory,rho_empirical\n" + "".join(
-        f"{x:.17g},{r:.17g},{e:.17g}\n" for x, r, e in zip(grid.x, density.values, histogram)))
-    run.write("report.json", report)
-    run.finish()
+    with RunDir(out_dir, "compare", cfg, seed, workers) as run:
+        if isinstance(empirical, GridDensity):
+            smoothed = empirical
+            histogram = empirical.values
+            count = grid.m
+        else:
+            smoothed = smooth_empirical(empirical, grid, bandwidth=bandwidth)
+            histogram = np.histogram(empirical.values, bins=edges)[0] / (len(empirical) * grid.h)
+            count = len(empirical)
+        report = {
+            "bl_bv_distance": bl_bv_distance(empirical, density),
+            "ks_distance": ks_distance(empirical, density),
+            "log_energy_distance": log_energy_distance(smoothed, density),
+            "moments_empirical": {str(k): empirical.moment(k) for k in (1, 2, 3, 4)},
+            "moments_theoretical": {str(k): density.moment(k) for k in (1, 2, 3, 4)},
+            "eigenvalue_count": count,
+            "run": run.echo,
+        }
+        run.write("overlay.csv", "x,rho_theory,rho_empirical\n" + "".join(
+            f"{x:.17g},{r:.17g},{e:.17g}\n" for x, r, e in zip(grid.x, density.values, histogram)))
+        run.write("report.json", report)
     return 0
 
 
@@ -415,12 +421,11 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
         "fc_convexity": lambda: fc_convexity_check(w=w, grid=grid, tol=tol),
     }
 
-    run = RunDir(out_dir, "checks", cfg, seed, workers)
-    # each check returns its own verdict ("pass") and the bound it was judged against
-    bundle = {name: runners[name]() for name in names if name in which}
-    bundle["run"] = run.echo
-    run.write("checks.json", bundle)
-    run.finish()
+    with RunDir(out_dir, "checks", cfg, seed, workers) as run:
+        # each check returns its own verdict ("pass") and the bound it was judged against
+        bundle = {name: runners[name]() for name in names if name in which}
+        bundle["run"] = run.echo
+        run.write("checks.json", bundle)
     return 0
 
 
@@ -476,8 +481,7 @@ def main(argv=None) -> int:
         workers = _positive_int(resolved, "workers", os.cpu_count() or 1)
         out_dir = args.out if args.out is not None else str(cfg.get("out", "."))
         return _COMMANDS[args.command](cfg, seed, workers, out_dir)
-    except (ConfigError, PotentialDomainError, NonConfiningError,
-            DomainTooSmallError) as exc:
+    except (ConfigError, NonConfiningError, DomainTooSmallError) as exc:
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
         return 1
     except (NonConvergenceExit, NonConvergedError, DosStepError) as exc:

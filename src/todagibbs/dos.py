@@ -253,14 +253,12 @@ LIPSCHITZ_DELTAS = (1e-1, 1e-2, 1e-3)
 CONVEXITY_PRESSURES = tuple(np.arange(0.4, 2.401, 0.2).tolist())  # 0.4, 0.6, ..., 2.4
 
 
-def d_lipschitz_sweep(w: Potential = Potential.zero(), grid: Grid | None = None) -> dict:
+def d_lipschitz_sweep(grid: Grid, w: Potential = Potential.zero()) -> dict:
     """Secant ratios D(mu_P, mu_{P+delta}) / delta as delta shrinks.
 
     P runs over LIPSCHITZ_PRESSURES and delta over LIPSCHITZ_DELTAS; each
     solve runs to tol 1e-9.
     """
-    if grid is None:
-        grid = Grid(domain_auto(max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS), w), 2000)
     ratios = {}
     for p in LIPSCHITZ_PRESSURES:
         base = solve_equilibrium(p, w, grid, tol=1e-9, raise_on_failure=True).density
@@ -274,15 +272,12 @@ def d_lipschitz_sweep(w: Potential = Potential.zero(), grid: Grid | None = None)
             "pass": all(max(r) <= bound[p] for p, r in ratios.items())}
 
 
-def fc_convexity_check(w: Potential = Potential.zero(), grid: Grid | None = None,
-                       tol: float = 1e-8) -> dict:
+def fc_convexity_check(grid: Grid, w: Potential = Potential.zero(), tol: float = 1e-8) -> dict:
     """Discrete convexity of the Coulomb free energy P -> F_C on CONVEXITY_PRESSURES.
 
     F_C is the log-partition limit, i.e. minus the functional minimum; its
     convexity in P is the finite-N variance inequality surviving the limit.
     """
-    if grid is None:
-        grid = Grid(domain_auto(max(CONVEXITY_PRESSURES), w), 2000)
     f_c = np.array([
         -solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).free_energy
         for p in CONVEXITY_PRESSURES

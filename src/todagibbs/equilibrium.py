@@ -252,7 +252,6 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max
         raise ValueError("pressure must be nonnegative")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    _warn_weak_log_margin(p, w)
 
     kernel = build_log_kernel(grid)
     h = grid.h
@@ -311,47 +310,45 @@ def _free_energy_parts(wx, phi, rho, p, h) -> float:
     return pot - p * log_energy + entropy
 
 
-def _warn_weak_log_margin(p: float, w: Potential) -> None:
-    """Warn when W barely dominates (P+1) log(x^2+1).
-
-    Quadratic-plus-even-polynomial confinements always hold this margin with
-    room to spare; a violation signals an unusually weak tabulated envelope.
-    The solve proceeds regardless.
-    """
-    probe = np.linspace(-80.0, 80.0, 801)
-    margin = w.confinement_growth(probe) - (p + 1.0) * np.log(probe ** 2 + 1.0)
-    interior = float(np.min(margin[200:-200]))
-    if min(margin[0], margin[-1]) < interior - 1e-9:
-        logger.warning(
-            "confinement margin over (P+1) log(1+x^2) decreasing at |x| = 80; "
-            "equilibrium tails may be heavy for P = %.3g", p)
-
-
 def domain_auto(p: float, w: Potential) -> float:
     """Smallest half-width L with exp(-W(L) + 2P log(2L)) <= 1e-16 exp(-min W).
 
-    Doubling search brackets the crossing, bisection refines it.  The bound
-    keeps the truncated tail mass of the fixed-point map below 1e-12.
+    W is evaluated on a probe grid on [-20, 20] and at its exact critical
+    candidates: the roots of W' for the polynomial or the envelope and, for a
+    table, its nodes and the vertex of x^2/2 + a + b x on each segment.  A
+    doubling search brackets the crossing, bisection refines it.  The search
+    starts at the farthest candidate where the bound fails, or at 1, so no
+    well of W is cut off.  The bound keeps the truncated tail mass of the
+    fixed-point map below 1e-12.
     """
     if p < 0:
         raise ValueError("pressure must be nonnegative")
+    coeffs = np.asarray(w.envelope if w.is_tabulated else w.coeffs, dtype=float)
+    # W' in descending powers; a complex root's real part is a harmless extra point
+    slope = np.polyder(np.polyadd(coeffs[::-1], [0.5, 0.0, 0.0]))
+    candidates = [np.roots(slope).real]
+    if w.is_tabulated:
+        xs, vs = np.asarray(w.table_x), np.asarray(w.table_v)
+        candidates += [xs, -np.diff(vs) / np.diff(xs)]
+    candidates = np.concatenate(candidates)
     probe = np.linspace(-20.0, 20.0, 2001)
-    w_min = float(np.min(w.confinement_growth(probe)))
+    w_min = float(np.min(w.confinement(np.concatenate([probe, candidates]))))
 
-    def excess(length: float) -> float:
+    def excess(length):
         # log of the tail envelope relative to the target, > 0 means too small
-        w_edge = float(min(w.confinement_growth(np.array([length]))[0],
-                           w.confinement_growth(np.array([-length]))[0]))
+        w_edge = np.min(w.confinement(np.array([length, -length])), axis=0)
         log_gain = 2.0 * p * np.log(2.0 * length) if p > 0 else 0.0
         return (-w_edge + log_gain) - (_TAIL_LOG - w_min)
 
-    length = 1.0
+    far = np.maximum(np.abs(candidates), 1.0)
+    start = float(np.max(far[excess(far) > 0], initial=1.0))
+    length = start
     while excess(length) > 0:
         length *= 2.0
         if length > _MAX_HALF_WIDTH:
             raise NonConfiningError("confinement too weak to bound the tail")
-    if length == 1.0:
-        return 1.0
+    if length == start:
+        return start
     lo, hi = length / 2.0, length
     for _ in range(80):
         mid = 0.5 * (lo + hi)

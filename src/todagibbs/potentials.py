@@ -5,13 +5,15 @@ the form W(x) = x^2/2 + V(x).  The extra term V is one of
 
 * the zero potential,
 * an even polynomial with positive leading coefficient, or
-* a tabulated continuous function together with an even-polynomial growth
-  envelope that stands in for V outside the tabulated range.
+* a tabulated continuous function together with an even-polynomial
+  envelope: V is the linear interpolant of the table inside its range and
+  the envelope outside it.  Construction requires the two to agree within
+  ``slack`` at both table edges.
 
-Tabulated potentials refuse to extrapolate: evaluating outside the table
-raises ``PotentialDomainError``.  Growth queries (domain sizing, confinement
-checks) go through :meth:`Potential.growth` which substitutes the envelope
-outside the table.
+The checks made at construction (finite entries, an even polynomial or
+envelope whose leading coefficient is positive, or a constant one) already
+make W bounded below and tending to +infinity, so no potential is probed for
+confinement afterwards.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class PotentialDomainError(ValueError):
-    """Tabulated potential evaluated outside its tabulation range."""
-
-
 class NonConfiningError(ValueError):
-    """Confinement W = x^2/2 + V does not dominate a positive quadratic."""
+    """W = x^2/2 + V grows too slowly for ``domain_auto`` to bound its tail."""
 
 
 def _poly_eval(coeffs: tuple[float, ...], x):
@@ -144,40 +142,21 @@ class Potential:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate V(x).  Tabulated potentials raise outside their range."""
+        """Evaluate V(x): a tabulated V is its envelope outside the table."""
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "polynomial":
             return _poly_eval(self.coeffs, x)
         xs = np.asarray(self.table_x)
-        lo, hi = xs[0], xs[-1]
-        if np.any(x < lo) or np.any(x > hi):
-            raise PotentialDomainError(
-                f"tabulated potential queried outside [{lo:.6g}, {hi:.6g}]"
-            )
-        return np.interp(x, xs, np.asarray(self.table_v))
-
-    def growth(self, x):
-        """V(x) with the envelope substituted outside a tabulated range."""
-        x = np.asarray(x, dtype=float)
-        if self.kind != "tabulated":
-            return self(x)
-        xs = np.asarray(self.table_x)
-        inside = (x >= xs[0]) & (x <= xs[-1])
-        out = _poly_eval(self.envelope, x)
-        if np.any(inside):
-            out = np.where(inside, np.interp(x, xs, np.asarray(self.table_v)), out)
-        return out
+        return np.where((x >= xs[0]) & (x <= xs[-1]),
+                        np.interp(x, xs, np.asarray(self.table_v)),
+                        _poly_eval(self.envelope, x))
 
     def confinement(self, x):
         """W(x) = x^2/2 + V(x)."""
         x = np.asarray(x, dtype=float)
         return 0.5 * x * x + self(x)
-
-    def confinement_growth(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * x * x + self.growth(x)
 
     def scaled(self, factor: float) -> "Potential":
         """The potential factor * V.  Factor must be nonnegative."""
@@ -194,33 +173,6 @@ class Potential:
             envelope=tuple(factor * c for c in self.envelope),
             slack=self.slack * max(factor, 1.0),
         )
-
-    # -- confinement check ----------------------------------------------
-
-    def confinement_margin(self):
-        """Numerically check W(x) >= x^2/4 + C on 4001 points of [-50, 50].
-
-        Returns the constant C (finite minimum of W - x^2/4).  Raises
-        ``NonConfiningError`` when the margin is still decreasing at the
-        edge of the check grid, which signals growth slower than quadratic.
-        """
-        x = np.linspace(-50.0, 50.0, 4001)
-        margin = self.confinement_growth(x) - 0.25 * x * x
-        c = float(np.min(margin))
-        if not np.isfinite(c):
-            raise NonConfiningError("confinement margin is not finite")
-        edge = min(margin[0], margin[-1])
-        interior = float(np.min(margin[1000:-1001]))
-        if edge < interior - 1e-9:
-            raise NonConfiningError(
-                "W - x^2/4 decreases toward the grid edge; potential not confining"
-            )
-        return c
-
-    def require_confining(self) -> None:
-        # a polynomial's even degree and positive leading coefficient already confine
-        if self.is_tabulated:
-            self.confinement_margin()
 
     # -- serialization ---------------------------------------------------
 

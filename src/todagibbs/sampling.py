@@ -14,9 +14,10 @@ b^(2P-1) exp(-b^2), which is exactly sqrt(Gamma(shape=P, scale=1)).
 General confining potentials V are handled by a Metropolis-within-Gibbs chain
 in the (a_i, b_i) coordinates: Gaussian random walk on diagonal entries,
 multiplicative log-normal walk on off-diagonal entries (positivity preserved,
-proposal Jacobian included in the ratio).  For polynomial V of degree d a
-move at site i changes Tr V(M) only through entries within d of i, so sites
-at least 2d + 2 apart on the cycle are conditionally independent; each sweep
+proposal Jacobian included in the ratio).  For polynomial V of degree d the
+change of Tr V(M) under a move at site i reads only entries within
+(d - 1) // 2 sites of i, so sites at least 2d + 2 apart on the cycle (a wider
+spacing than the windows need) are conditionally independent; each sweep
 visits colour classes of such sites (the chromatic Gibbs sampler of
 Gonzalez, Low, Gretton and Guestrin, AISTATS 2011) and decides a whole class
 at once from stacked local windows.
@@ -231,13 +232,13 @@ def _log_accept_a(a_old, a_new, dtrv):
 def _colour_classes(n: int, radius: int) -> list[np.ndarray]:
     """Sites 0..n-1 in classes whose members are >= 2 radius + 2 apart on the cycle.
 
-    A move at site i changes Tr V(M) only through entries within ``radius``
-    of i (its degree, for polynomial V), so moves of one class have disjoint
-    windows and are conditionally independent.  The cycle is cut into
-    floor(n / (2 radius + 2)) near-equal blocks, each at least that long, and
-    a site's colour is its position inside its block.  With one block (small
-    n, or radius n for a move that reads the whole spectrum) every class is a
-    single site, in site order.
+    The chain passes radius = deg V for polynomial V, whose move at site i
+    reads only entries within (deg V - 1) // 2 of i, so moves of one class
+    have disjoint windows and are conditionally independent.  The cycle is
+    cut into floor(n / (2 radius + 2)) near-equal blocks, each at least that
+    long, and a site's colour is its position inside its block.  With one
+    block (small n, or radius n for a move that reads the whole spectrum)
+    every class is a single site, in site order.
     """
     blocks = max(n // (2 * radius + 2), 1)
     starts = np.arange(blocks) * n // blocks
@@ -306,8 +307,6 @@ def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int =
         raise ValueError("proposal scales must be positive")
     if len({(u.kind, len(u.coeffs)) for u in potentials}) != 1:
         raise ValueError("batched chains need potentials of one kind and degree")
-    for u in potentials:
-        u.require_confining()
     v = potentials[0]
     if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
         raise ValueError(

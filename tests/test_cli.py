@@ -220,6 +220,49 @@ def test_mcmc_sample_source(tmp_path):
     assert m.n == 30 and m.periodic
 
 
+def read_manifest(out):
+    with open(os.path.join(out, "manifest.json")) as fh:
+        return json.load(fh)
+
+
+# V = 0.05 x^4 tabulated at the integers of [-4, 4], with 0.05 x^4 as its envelope
+TABULATED_QUARTIC = {"type": "tabulated", "x": list(range(-4, 5)),
+                     "v": [0.05 * x ** 4 for x in range(-4, 5)],
+                     "envelope": [0, 0, 0, 0, 0.05]}
+
+
+# at each of these seeds some proposal moves an eigenvalue past the table
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mcmc_tabulated_spectrum_leaving_the_table_completes(tmp_path, seed):
+    cfg = {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 200, "proposal_scales": [1.5, 1.5],
+           "potential": TABULATED_QUARTIC, "seed": seed}
+    rc, out = run(tmp_path, "sample", cfg)
+    assert rc == 0
+    assert read_manifest(out)["status"] == "complete"
+
+
+@pytest.mark.parametrize("potential", [
+    # a table on [-2, 2] whose auto grid at P = 1 reaches |x| = 2.47
+    {"type": "tabulated", "x": [-2.0, 0.0, 2.0], "v": [16.0, 0.0, 16.0],
+     "envelope": [0, 0, 0, 0, 1.0]},
+    # W's minimum sits at |x| = 47.4
+    {"type": "polynomial", "coeffs": [0, 0, -5.0, 0, 0.001]},
+])
+def test_solve_auto_grid_beyond_table_or_probe(tmp_path, potential):
+    rc, out = run(tmp_path, "solve", {"p": 1, "potential": potential})
+    assert rc == 0
+    assert read_manifest(out)["status"] == "complete"
+    assert json.load(open(os.path.join(out, "solution.json")))["converged"]
+
+
+def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys):
+    rc, out = run(tmp_path, "solve", {"p": 1, "grid": {"half_width": 0.5, "m": 200}})
+    assert rc == 1 and "enlarge the grid half-width" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("DomainTooSmallError: boundary density")
+
+
 def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
     # scipy.linalg is most of the CLI's start-up, and only the eigensolve of
     # `sample` needs it; no command starts a process pool, whatever --workers
@@ -349,6 +392,8 @@ def test_library_value_error_is_not_relabelled(tmp_path, monkeypatch):
     monkeypatch.setattr("todagibbs.cli.solve_equilibrium", broken)
     with pytest.raises(ValueError, match="library bug"):
         run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}})
+    manifest = read_manifest(str(tmp_path / "out"))
+    assert manifest["status"] == "failed" and manifest["error"] == "ValueError: library bug"
 
 
 def solved_density(tmp_path, m=200, out="ref"):

@@ -91,12 +91,18 @@ def inputs(tmp_path_factory):
 
 
 def _run(command, cfg):
+    """main's exit code; a manifest that the run wrote must not be left "running"."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "config.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        return main([command, "--config", path, "--out", os.path.join(work, "out"),
-                     "--workers", "1"])
+        rc = main([command, "--config", path, "--out", os.path.join(work, "out"),
+                   "--workers", "1"])
+        manifest = os.path.join(work, "out", "manifest.json")
+        if os.path.exists(manifest):
+            with open(manifest) as fh:
+                assert json.load(fh)["status"] in ("complete", "failed")
+        return rc
 
 
 @pytest.mark.parametrize("command", sorted(KEYS))

@@ -223,3 +223,33 @@ def test_domain_auto_values():
     l0 = domain_auto(0.0, W0)
     assert l0 <= 9.0
     assert domain_auto(2.0, W0) >= domain_auto(1.0, W0)
+
+
+def test_domain_auto_covers_far_minimum():
+    # W = -4.5 x^2 + 0.001 x^4 has its minimum -5062.5 at |x| = sqrt(2250),
+    # beyond any fixed probe window
+    v = Potential.polynomial([0, 0, -5.0, 0, 0.001])
+    x_star, w_min = math.sqrt(2250.0), -5062.5
+    length = domain_auto(1.0, v)
+    assert length > x_star
+    w_edge = float(v.confinement(np.array([length]))[0])
+    assert w_edge - w_min == pytest.approx(-math.log(1e-16) + 2.0 * math.log(2.0 * length))
+    # a table inside [-3, 3] with this envelope gets the same half-width
+    xs = np.linspace(-3, 3, 61)
+    tab = Potential.tabulated(xs, v(xs), envelope_coeffs=v.coeffs)
+    assert domain_auto(1.0, tab) == length
+    sol = solve_equilibrium(1.0, v, Grid(length, 2000))
+    assert sol.converged
+    assert sol.density.moment(2) == pytest.approx(x_star ** 2, rel=1e-3)
+
+
+def test_domain_auto_keeps_a_far_shallow_well():
+    # W' = 0.002 x (x^2 - 35)(x^2 - 100): the minimum W(0) = 0 and a second
+    # well W(10) = 8.33 behind a barrier of 54 at |x| = 5.9, which holds
+    # e^-8.33 of the mass at P = 0
+    v = Potential.polynomial([0, 0, 3.0, 0, -0.0675, 0, 0.002 / 6])
+    length = domain_auto(0.0, v)
+    assert length > 10.0
+    wide = solve_equilibrium(0.0, v, Grid(14.0, 4000)).density.moment(2)
+    auto = solve_equilibrium(0.0, v, Grid(length, 2000)).density.moment(2)
+    assert auto == pytest.approx(wide, rel=1e-6)

@@ -141,13 +141,18 @@ def test_trace_potential_consistency():
     assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
 
 
-def test_trace_potential_tabulated_domain_error():
-    from todagibbs import PotentialDomainError
-    m = PeriodicJacobiMatrix([0.0, 0.0, 0.0], [2.0, 2.0, 2.0], periodic=True)
-    xs = np.linspace(-1, 1, 11)
-    v = Potential.tabulated(xs, 0.1 * xs ** 2, envelope_coeffs=[0, 0, 0.1])
-    with pytest.raises(PotentialDomainError):
-        trace_potential(m, v)  # spectrum reaches past the table
+def test_trace_potential_tabulated_beyond_table_uses_envelope():
+    rng = np.random.default_rng(21)
+    m = random_matrix(rng, 8)
+    quartic = Potential.polynomial([0, 0, 0, 0, 0.05])
+    xs = np.linspace(-1.5, 1.5, 601)
+    v = Potential.tabulated(xs, quartic(xs), envelope_coeffs=quartic.coeffs)
+    eigs = eigenvalues(m).values
+    assert np.sum(np.abs(eigs) > 1.5) >= 1 and np.sum(np.abs(eigs) < 1.5) >= 1
+    # linear interpolation errs by at most h^2/8 max|V''| inside the table
+    h = xs[1] - xs[0]
+    bound = h ** 2 / 8 * 0.6 * 1.5 ** 2 + 1e-12
+    assert abs(trace_potential(m, v) - trace_potential(m, quartic)) <= bound
 
 
 # -- local trace updates ------------------------------------------------------

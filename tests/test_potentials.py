@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from todagibbs import Potential, PotentialDomainError
+from todagibbs import Potential
 
 
 def test_zero_potential():
@@ -32,14 +32,10 @@ def test_all_zero_coefficients_collapse_to_zero():
     assert v.is_zero
 
 
-def test_confinement_and_margin():
+def test_confinement():
     v = Potential.polynomial([0, 0, 1.0])
     x = np.array([2.0])
     assert v.confinement(x)[0] == pytest.approx(2.0 + 4.0)
-    c = v.confinement_margin()
-    assert np.isfinite(c)
-    Potential.zero().require_confining()
-    v.require_confining()
 
 
 def test_tabulated_range_and_envelope():
@@ -47,10 +43,14 @@ def test_tabulated_range_and_envelope():
     vs = 0.1 * xs ** 4
     v = Potential.tabulated(xs, vs, envelope_coeffs=[0, 0, 0, 0, 0.1], slack=1e-6)
     assert v(np.array([1.0]))[0] == pytest.approx(0.1, abs=1e-4)
-    with pytest.raises(PotentialDomainError):
-        v(np.array([5.0]))
-    # growth falls back to the envelope outside the table
-    assert v.growth(np.array([10.0]))[0] == pytest.approx(0.1 * 10.0 ** 4)
+    # the envelope outside the table, the table's interpolant inside it
+    outside = np.array([-50.0, -4.5, 4.0 + 1e-9, 5.0, 10.0])
+    assert np.array_equal(v(outside), Potential.polynomial(v.envelope)(outside))
+    inside = np.array([-4.0, -1.23, 0.0, 0.7, 4.0])
+    assert np.array_equal(v(inside), np.interp(inside, xs, vs))
+    mixed = np.concatenate([outside, inside])
+    assert np.array_equal(v(mixed), np.concatenate([v(outside), v(inside)]))
+    assert np.array_equal(v.confinement(mixed), 0.5 * mixed ** 2 + v(mixed))
 
 
 def test_tabulated_envelope_mismatch_rejected():

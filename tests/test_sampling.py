@@ -221,6 +221,18 @@ def test_mcmc_nonconfining_tabulated_rejected():
     mcmc_toda(SeededStream(0, 0), 10, 1.0, flat, sweeps=2)
 
 
+def test_mcmc_tabulated_double_well_envelope_runs_beyond_table():
+    # W = -4.5 x^2 + 0.001 x^4 outside [-3, 3]: bounded below with wells at
+    # |x| = 47.4, so the chain is accepted and its spectrum leaves the table
+    envelope = Potential.polynomial([0, 0, -5.0, 0, 0.001])
+    xs = np.linspace(-3, 3, 61)
+    tab = Potential.tabulated(xs, envelope(xs), envelope_coeffs=envelope.coeffs)
+    report = mcmc_toda(SeededStream(0, 0), 10, 1.0, tab, sweeps=20)
+    eigs = np.concatenate([eigenvalues(m).values for m in report.samples])
+    assert np.all(np.isfinite(eigs)) and np.max(np.abs(eigs)) > 3.0
+    assert 0 < report.acceptance["diag"] < 1 and 0 < report.acceptance["offdiag"] < 1
+
+
 def test_mcmc_quartic_moment_against_exact_reweighting():
     # N = 3 is small enough to integrate the tilted law semi-analytically by
     # importance reweighting exact V = 0 draws.
