@@ -3,9 +3,10 @@
 The central object is a symmetric tridiagonal matrix stored as its diagonal
 and off-diagonal sequences.  Periodic matrices carry one extra coupling in
 the (1, N) / (N, 1) corner, the last entry of ``offdiag``.  Storage is
-structure-of-sequences.  The periodic eigensolver never builds the dense
-matrix: it folds the cycle into a symmetric band of half-width 2 (see
-``eigenvalues``); ``to_dense`` exists for tests and oracles.
+structure-of-sequences.  The eigensolver never builds the dense matrix:
+both kinds are one symmetric band, of half-width 1 for a plain tridiagonal
+matrix and 2 for a periodic one folded (see ``eigenvalues``), solved by
+one LAPACK ``dsbevd`` call; ``to_dense`` exists for tests and oracles.
 
 Traces also avoid the dense matrix.  (M^k)_{jj} is a sum over closed
 length-k walks at j, and such a walk stays within k // 2 sites of j, so
@@ -22,6 +23,11 @@ and the Metropolis chain with a whole colour class.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,25 +157,58 @@ def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:
     return ab
 
 
-def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
-    """All eigenvalues, ascending.
+@functools.cache
+def _dsbevd():
+    """LAPACK ``dsbevd`` from scipy's compiled wrapper module ``scipy.linalg._flapack``.
 
-    Plain tridiagonal matrices go through the LAPACK implicit-shift
-    symmetric-tridiagonal path.  Periodic matrices are folded into a
-    symmetric band of half-width 2 (``_folded_band``) and solved by LAPACK
-    band reduction, O(N^2) for eigenvalues only; the permutation is a
-    similarity, so the spectrum is unchanged.
+    This is the function object ``scipy.linalg.lapack.dsbevd``.  Importing
+    the ``scipy.linalg`` package takes about 0.25 s, nearly all of it
+    modules the eigensolve never uses; the wrapper module alone loads in a
+    few milliseconds.  So it is loaded from scipy's install directory
+    without running any package ``__init__``, once per process, and
+    registered under its own name so that a later ``import scipy.linalg``
+    reuses it; a module already imported is reused the same way.
     """
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only `sample` eigensolves
-    from scipy.linalg import eig_banded, eigh_tridiagonal
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError(f"the eigensolve needs LAPACK dsbevd from {name}; "
+                              "scipy is not installed")
+        directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        spec = importlib.machinery.FileFinder(
+            directory, (importlib.machinery.ExtensionFileLoader,
+                        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"the eigensolve needs LAPACK dsbevd from {name}, "
+                              f"which is not in {directory}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    if not hasattr(module, "dsbevd"):
+        raise ImportError(f"{module!r} has no LAPACK dsbevd")
+    return module.dsbevd
 
+
+def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
+    """All eigenvalues, ascending, from one LAPACK ``dsbevd`` call.
+
+    A plain tridiagonal matrix is its own symmetric band of half-width 1.  A
+    periodic matrix is folded into a symmetric band of half-width 2
+    (``_folded_band``); the permutation is a similarity, so the spectrum is
+    unchanged.  Eigenvalues only, O(N^2).
+    """
     _require_finite(m)
     if m.periodic:
-        vals = eig_banded(_folded_band(m), lower=True, eigvals_only=True,
-                          overwrite_a_band=True, check_finite=False)
+        ab = _folded_band(m)
     else:
-        vals = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+        ab = np.zeros((2, m.n))
+        ab[0] = m.diag
+        ab[1, :-1] = m.offdiag
+    vals, _, info = _dsbevd()(ab, compute_v=0, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsbevd failed with info = {info}")
     return EmpiricalSpectralMeasure(vals)
 
 

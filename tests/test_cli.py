@@ -292,6 +292,32 @@ print(json.dumps(loaded))
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
 
 
+def test_sample_runs_load_only_the_lapack_wrapper_of_scipy(tmp_path):
+    # the eigensolve loads scipy's compiled LAPACK wrapper module alone, not
+    # the scipy.linalg package; a tabulated V eigensolves inside the chain too
+    configs = [
+        {"source": "toda", "n": 50, "p": 1.0, "replicas": 2},
+        {"source": "beta", "n": 50, "p": 1.0, "replicas": 2},
+        {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20, "potential": QUARTIC},
+        {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20, "potential": TABULATED_QUARTIC},
+    ]
+    runs = [(write_config(tmp_path, f"sample{i}.json", cfg), str(tmp_path / f"out{i}"))
+            for i, cfg in enumerate(configs)]
+    script = f"""
+import json, sys
+from todagibbs.cli import main
+loaded = []
+for cfg, out in {runs!r}:
+    rc = main(["sample", "--config", cfg, "--out", out])
+    loaded.append([rc] + sorted(m for m in sys.modules if m.startswith("scipy")))
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, "scipy.linalg._flapack"]] * 4
+
+
 def test_module_entry_point_runs(tmp_path):
     # `python -m todagibbs.cli` from a source checkout, without the console script
     def module_run(cfg_text, out):

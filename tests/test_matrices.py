@@ -1,4 +1,13 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +18,9 @@ from todagibbs import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        PeriodicJacobiMatrix, Potential, bl_bv_distance,
                        dump_matrix, eigenvalues, load_matrix,
                        local_trace_delta, trace_potential, trace_power)
-from todagibbs.matrices import _trace_deltas
+from todagibbs import matrices
+from todagibbs.matrices import _folded_band, _trace_deltas
+from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
 
 from _oracles import char_poly_eigenvalues
 
@@ -93,6 +104,85 @@ def test_periodic_fold_tiny_corner_and_zero_diagonal(n):
     off[-1] = 1e-300  # chi floor in the corner: the cycle is nearly open
     _assert_matches_dense(PeriodicJacobiMatrix(rng.standard_normal(n), off))
     _assert_matches_dense(PeriodicJacobiMatrix(np.zeros(n), rng.uniform(0.1, 2.0, n)))
+
+
+# the scipy solvers that the single dsbevd call replaced are the oracles
+PRESSURES = [1e-3, 1.0, 50.0, 1e300]
+
+
+@pytest.mark.parametrize("p", PRESSURES)
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 200, 2000])
+def test_periodic_eigenvalues_bit_identical_to_eig_banded(n, p):
+    from scipy.linalg import eig_banded
+    for seed in range(3):
+        m = sample_toda_matrix(SeededStream(seed), n, p)
+        oracle = eig_banded(_folded_band(m), lower=True, eigvals_only=True)
+        assert np.array_equal(eigenvalues(m).values, oracle)
+
+
+@pytest.mark.parametrize("p", PRESSURES)
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 2000])
+def test_tridiagonal_eigenvalues_bit_identical_to_eigh_tridiagonal(n, p):
+    from scipy.linalg import eigh_tridiagonal
+    for seed in range(3):
+        m = sample_beta_matrix(SeededStream(seed), n, p)
+        oracle = eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+        assert np.array_equal(eigenvalues(m).values, oracle)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_eigenvalues_leave_the_matrix_unchanged(periodic):
+    m = random_matrix(np.random.default_rng(11), 50, periodic=periodic)
+    diag, off = m.diag.copy(), m.offdiag.copy()
+    eigenvalues(m)
+    assert np.array_equal(m.diag, diag) and np.array_equal(m.offdiag, off)
+
+
+def test_lapack_failure_raises_linalg_error(monkeypatch):
+    def failing(ab, **kwargs):
+        return np.zeros(ab.shape[1]), np.zeros((0, 0)), 1
+    monkeypatch.setattr(matrices, "_dsbevd", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dsbevd"):
+        eigenvalues(random_matrix(np.random.default_rng(0), 5))
+
+
+def test_missing_lapack_wrapper_raises_import_error(monkeypatch, tmp_path):
+    load = matrices._dsbevd.__wrapped__  # bypasses the per-process cache
+    name = "scipy.linalg._flapack"
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda _: None)
+    with pytest.raises(ImportError, match="dsbevd.*_flapack.*not installed"):
+        load()
+    # a scipy whose linalg directory holds no wrapper module
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda _: spec)
+    with pytest.raises(ImportError, match=f"dsbevd.*_flapack.*{re.escape(str(tmp_path))}"):
+        load()
+    monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+    with pytest.raises(ImportError, match="_flapack.*has no LAPACK dsbevd"):
+        load()
+
+
+def test_eigenvalues_same_before_and_after_importing_scipy_linalg():
+    # a fresh interpreter, so that the wrapper module is loaded by the eigensolve first
+    script = textwrap.dedent("""
+        import json, sys
+        from todagibbs import eigenvalues, matrices
+        from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
+        ms = [sample_toda_matrix(SeededStream(1), 200, 1.0), sample_beta_matrix(SeededStream(1), 200, 1.0)]
+        before = [eigenvalues(m).values.tolist() for m in ms]
+        loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+        import scipy.linalg
+        after = [eigenvalues(m).values.tolist() for m in ms]
+        same = scipy.linalg.lapack.dsbevd is matrices._dsbevd()
+        print(json.dumps([before == after, loaded, same]))
+    """)
+    src = os.path.dirname(os.path.dirname(matrices.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, ["scipy.linalg._flapack"], True]
 
 
 # -- traces ------------------------------------------------------------------
