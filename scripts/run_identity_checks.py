@@ -2,9 +2,9 @@
 """Run the structural identity checks and print a compact scoreboard.
 
 Covers the pressure-mixture identity, the free-energy derivative relation
-(thermodynamic integration vs central differences), the density
-representation of nu_P, the Lipschitz-in-P secant ratios, and the discrete
-convexity of the Coulomb free energy.
+(thermodynamic integration vs the equilibrium solver's multipliers), the
+density representation of nu_P, the Lipschitz-in-P secant ratios, and the
+discrete convexity of the Coulomb free energy.
 """
 
 import argparse

@@ -12,8 +12,7 @@ from .equilibrium import (DomainTooSmallError, EquilibriumSolution, Grid,
                           build_log_kernel, domain_auto, free_energy,
                           solve_equilibrium)
 from .dos import (DosResult, DosStepError, beta_mixture_check,
-                  coulomb_free_energy_shift, d_lipschitz_sweep,
-                  dos_from_equilibrium, fc_convexity_check,
+                  d_lipschitz_sweep, dos_from_equilibrium, fc_convexity_check,
                   free_energy_relation_check, mixture_over_profile,
                   nu_density_relation_check)
 from .matrices import (EmpiricalSpectralMeasure, InvalidMatrixError,
@@ -43,7 +42,6 @@ __all__ = [
     "DomainTooSmallError", "NonConvergedError",
     "DosResult", "DosStepError", "dos_from_equilibrium", "mixture_over_profile",
     "beta_mixture_check", "free_energy_relation_check",
-    "nu_density_relation_check", "coulomb_free_energy_shift",
-    "d_lipschitz_sweep", "fc_convexity_check",
+    "nu_density_relation_check", "d_lipschitz_sweep", "fc_convexity_check",
     "bl_bv_distance", "ks_distance", "log_energy_distance", "smooth_empirical",
 ]

@@ -17,7 +17,9 @@ the module verifies three structural identities at desk scale:
 Free energies enter only through V-differences, where additive constants and
 the overall sign convention of the log-partition limit cancel; the difference
 used here is  F_C(V) - F_C(0) = -(inf F[V] - inf F[0])  with F the functional
-minimized by the equilibrium solver.
+minimized by the equilibrium solver.  Its pressure derivative needs no
+differencing: d/dP ( P inf F ) is the solver's Euler-Lagrange multiplier
+lambda, so  d/dP ( P [F_C(V) - F_C(0)] ) = lambda_0 - lambda_V  at P itself.
 """
 
 from __future__ import annotations
@@ -137,18 +139,6 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
 # -- free-energy derivative check ----------------------------------------
 
 
-def coulomb_free_energy_shift(p: float, v: Potential, grid: Grid, tol: float = 1e-8) -> float:
-    """F_C(V, P) - F_C(0, P): minus the difference of functional minima.
-
-    The minimized functional is the large-N rate of the log partition with the
-    opposite sign, so the V-difference of log-partition limits is
-    -(inf F[V] - inf F[0]); constants independent of V cancel.
-    """
-    with_v = solve_equilibrium(p, v, grid, tol=tol, raise_on_failure=True)
-    without = solve_equilibrium(p, Potential.zero(), grid, tol=tol, raise_on_failure=True)
-    return -(with_v.free_energy - without.free_energy)
-
-
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
                                thin: int = 5, tol: float = 1e-8) -> dict:
@@ -158,48 +148,53 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by MCMC
          under the tilted potential alpha V (Gauss-Legendre over the alpha
          nodes, stderr from replica spread).
-    rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) by central differences of
-         equilibrium free energies, step min(1e-2, P/10) so the lower
-         pressure stays positive.
+    rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
+         the difference of the two solves' multipliers at P.  With F the
+         functional minimum and E the log-energy of mu_P, the envelope
+         theorem gives dF/dP = -E(mu_P), so d/dP (P F) = F - P E, which is
+         the multiplier lambda (integrate the Euler-Lagrange equation
+         against mu_P).
+
+    For V = 0 both sides vanish, so neither a chain nor a solve runs and
+    min_ess is None.
     """
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a spread-based stderr")
-    if w.is_zero:
-        return {"lhs": 0.0, "rhs": 0.0, "stderr": 0.0, "gap": 0.0,
-                "min_ess": float("inf"), "reliable": True, "alphas": [], "node_means": [],
-                "node_stderr": [], "node_ess": [], "node_acceptance": [],
-                "bound": FREE_ENERGY_FLOOR, "pass": True}
     if not w.is_polynomial:
         raise TypeError("thermodynamic integration needs a polynomial potential")
-    fd_step = min(1e-2, p / 10.0)
 
     alphas, weights = gauss_legendre_unit(n_alpha)
-    # chain k * replicas + r samples node k on stream k * replicas + r; all
-    # chains advance together as one batched state
-    reports = _mcmc_chains([SeededStream(seed, i) for i in range(n_alpha * replicas)], n, p,
-                           [w.scaled(float(a)) for a in np.repeat(alphas, replicas)],
-                           mc_sweeps, thin)
+    if w.is_zero:
+        alphas, weights, reports, rhs = alphas[:0], weights[:0], [], 0.0
+    else:
+        # chain k * replicas + r samples node k on stream k * replicas + r; all
+        # chains advance together as one batched state
+        reports = _mcmc_chains([SeededStream(seed, i) for i in range(n_alpha * replicas)],
+                               n, p, [w.scaled(float(a)) for a in np.repeat(alphas, replicas)],
+                               mc_sweeps, thin)
+        # the V and the V = 0 solves share one grid, wide enough for both measures
+        zero = Potential.zero()
+        grid = Grid(max(domain_auto(p, v) for v in (w, zero)), 2000)
+        lam_v, lam_0 = (solve_equilibrium(p, v, grid, tol=tol, raise_on_failure=True).lam
+                        for v in (w, zero))
+        rhs = lam_0 - lam_v
     values = np.reshape([np.mean([trace_potential(m, w) for m in r.samples]) for r in reports],
-                        (n_alpha, replicas))
-    ess = np.reshape([r.ess for r in reports], (n_alpha, replicas))
+                        (-1, replicas))
+    ess = np.reshape([r.ess for r in reports], values.shape)
     rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
              for kind in ("diag", "offdiag")}
     node_means = values.mean(axis=1)
     node_se = values.std(axis=1, ddof=1) / np.sqrt(replicas)
     node_ess = [float(sum(row)) for row in ess]
     node_acceptance = [{kind: float(rate[k]) for kind, rate in rates.items()}
-                       for k in range(n_alpha)]
+                       for k in range(len(alphas))]
 
-    lhs = float(-np.sum(weights * node_means))
+    # the sum of negated terms is exactly minus the sum, and +0.0 when V = 0
+    lhs = float(np.sum(weights * -node_means))
     stderr = float(np.sqrt(np.sum((weights * node_se) ** 2)))
-
-    # the V and the V = 0 solves share one grid, wide enough for both measures
-    grid = Grid(max(domain_auto(p + fd_step, v) for v in (w, Potential.zero())), 2000)
-    shift_up = coulomb_free_energy_shift(p + fd_step, w, grid, tol=tol)
-    shift_dn = coulomb_free_energy_shift(p - fd_step, w, grid, tol=tol)
-    rhs = float(((p + fd_step) * shift_up - (p - fd_step) * shift_dn) / (2.0 * fd_step))
+    min_ess = min(node_ess, default=None)
     bound = max(FREE_ENERGY_STDERRS * stderr, FREE_ENERGY_FLOOR)
 
     return {
@@ -207,8 +202,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
         "rhs": rhs,
         "stderr": stderr,
         "gap": abs(lhs - rhs),
-        "min_ess": min(node_ess),
-        "reliable": bool(min(node_ess) >= 50.0),
+        "min_ess": min_ess,
+        "reliable": min_ess is None or min_ess >= 50.0,
         "alphas": alphas.tolist(),
         "node_means": node_means.tolist(),
         "node_stderr": node_se.tolist(),

@@ -99,12 +99,16 @@ class Potential:
         if np.any(np.diff(xs) <= 0):
             raise ValueError("tabulation grid must be strictly increasing")
         env = _validate_even_poly(tuple(np.atleast_1d(envelope_coeffs)))
+        slack = float(slack)
+        # a NaN or infinite slack would let every edge gap below pass
+        if not (np.isfinite(slack) and slack >= 0):
+            raise ValueError(f"slack must be finite and nonnegative, got {slack}")
         pot = cls(
             kind="tabulated",
             table_x=tuple(float(v) for v in xs),
             table_v=tuple(float(v) for v in vs),
             envelope=env,
-            slack=float(slack),
+            slack=slack,
         )
         # handoff consistency: table and envelope must agree at the edges
         for edge in (xs[0], xs[-1]):

@@ -188,8 +188,22 @@ def test_checks_auto_grid_holds_the_checks_pressures(tmp_path, monkeypatch):
     assert max(asked) >= 2.4
 
 
+def test_checks_json_is_strict_json(tmp_path):
+    # the V = 0 report has no chain and so no ESS: null, never Infinity
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    for name, cfg in (("zero", {**FREE_ENERGY_CHECK, "potential": {"type": "zero"}}),
+                      ("quartic", FREE_ENERGY_CHECK)):
+        rc, out = run(tmp_path, "checks", cfg, out=name)
+        assert rc == 0
+        with open(os.path.join(out, "checks.json")) as fh:
+            rep = json.loads(fh.read(), parse_constant=reject)["free_energy"]
+        assert (rep["min_ess"] is None) == (name == "zero")
+
+
 def test_checks_free_energy_grid_holds_a_weakly_confining_v(tmp_path):
-    # V = -0.45x^2 + 0.001x^4 needs a half-width of about 13.6 at P = 1.01,
+    # V = -0.45x^2 + 0.001x^4 needs a half-width of about 13.6 at P = 1,
     # the V = 0 measure only about 9.2, and both solves share one grid
     potential = {"type": "polynomial", "coeffs": [0, 0, -0.45, 0, 0.001]}
     rc, out = run(tmp_path, "checks", {"p": 1.0, "potential": potential,
@@ -253,6 +267,19 @@ def test_solve_auto_grid_beyond_table_or_probe(tmp_path, potential):
     assert rc == 0
     assert read_manifest(out)["status"] == "complete"
     assert json.load(open(os.path.join(out, "solution.json")))["converged"]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"p": 1}),
+    ("sample", {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 10}),
+])
+def test_non_finite_slack_exits_1_before_the_run_opens(tmp_path, capsys, command, cfg):
+    # V(1) = 5 next to an envelope of 0.01; json reads NaN, which used to pass every edge gap
+    potential = {"type": "tabulated", "x": [-1.0, 0.0, 1.0], "v": [5.0, 0.0, 5.0],
+                 "envelope": [0, 0, 0, 0, 0.01], "slack": math.nan}
+    rc, out = run(tmp_path, command, {**cfg, "potential": potential})
+    assert rc == 1 and "slack must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys):

@@ -106,6 +106,39 @@ def test_small_pressure_limit_is_gibbs_density():
 def test_free_energy_check_zero_potential_is_exact():
     rep = free_energy_relation_check(1.0, W0, n=50, mc_sweeps=10, seed=1)
     assert rep["lhs"] == 0.0 and rep["rhs"] == 0.0 and rep["stderr"] == 0.0
+    # no chain ran, so there is no sample size to report
+    assert rep["min_ess"] is None and rep["reliable"] and rep["node_ess"] == []
+
+
+def test_free_energy_rhs_is_the_pressure_derivative_to_second_order():
+    # central differences of P * [F_C(V) - F_C(0)] approach the check's rhs,
+    # the multiplier difference at P, with the O(h^2) truncation error
+    p, v = 1.0, Potential.polynomial([0, 0, 0, 0, 1.0])
+    rhs = free_energy_relation_check(p, v, n=6, mc_sweeps=10, replicas=2, tol=1e-12)["rhs"]
+    grid = Grid(max(domain_auto(p, u) for u in (v, W0)), 2000)
+
+    def scaled_shift(q):
+        with_v, without = (solve_equilibrium(q, u, grid, tol=1e-12, raise_on_failure=True)
+                           for u in (v, W0))
+        return -q * (with_v.free_energy - without.free_energy)
+
+    gaps = [abs((scaled_shift(p + h) - scaled_shift(p - h)) / (2.0 * h) - rhs)
+            for h in (2e-2, 1e-2, 5e-3)]
+    assert all(3.0 <= coarse / fine <= 5.0 for coarse, fine in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 2e-6
+
+
+def test_free_energy_check_solves_twice_at_its_pressure(monkeypatch):
+    solved = []
+
+    def recording(p, w, grid, **kwargs):
+        solved.append((p, w))
+        return solve_equilibrium(p, w, grid, **kwargs)
+
+    monkeypatch.setattr(dos, "solve_equilibrium", recording)
+    v = Potential.polynomial([0, 0, 0, 0, 0.1])
+    free_energy_relation_check(0.7, v, n=6, mc_sweeps=10, replicas=2)
+    assert sorted(solved, key=lambda pw: pw[1].is_zero) == [(0.7, v), (0.7, W0)]
 
 
 def test_free_energy_node_doubling_within_stderr():
@@ -143,7 +176,7 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
 
 
 def test_free_energy_check_small_pressure_default_step():
-    # the default finite-difference step shrinks with P, so P - step stays positive
+    # the rhs solves at P itself, so a small P needs no step that keeps P - step positive
     v = Potential.polynomial([0, 0, 0, 0, 0.02])
     rep = free_energy_relation_check(0.005, v, n=20, mc_sweeps=10, seed=3, replicas=2)
     assert np.isfinite(rep["rhs"]) and np.isfinite(rep["lhs"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_tabulated_envelope_mismatch_rejected():
     xs = np.linspace(-2, 2, 41)
     with pytest.raises(ValueError):
         Potential.tabulated(xs, xs ** 2, envelope_coeffs=[0, 0, 5.0], slack=1e-3)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, -1e-3])
+def test_tabulated_slack_must_be_finite_and_nonnegative(slack):
+    # V(1) = 5 against an envelope of 0.01 at x = 1: a NaN slack used to accept it
+    with pytest.raises(ValueError, match="slack"):
+        Potential.tabulated([-1.0, 0.0, 1.0], [5.0, 0.0, 5.0],
+                            envelope_coeffs=[0, 0, 0, 0, 0.01], slack=slack)
 
 
 def test_tabulated_nonconfining_envelope():
