@@ -45,10 +45,6 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-class NonConvergenceExit(RuntimeError):
-    """Numerical non-convergence surfaced as exit code 2."""
-
-
 # -- config values -----------------------------------------------------------
 
 
@@ -277,7 +273,7 @@ def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
         record["second_moment"] = solution.density.moment(2)
         run.write("solution.json", record)
     if not solution.converged:
-        raise NonConvergenceExit(
+        raise NonConvergedError(
             f"equilibrium solve did not converge: residual {solution.residual:.3e}")
     return 0
 
@@ -484,7 +480,7 @@ def main(argv=None) -> int:
     except (ConfigError, NonConfiningError, DomainTooSmallError) as exc:
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceExit, NonConvergedError, DosStepError) as exc:
+    except (NonConvergedError, DosStepError) as exc:
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
         return 2
 

@@ -71,7 +71,7 @@ def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
     Pre-clip mass equals one up to rounding because each solve is normalized
     exactly; tiny negative cells are clipped and the clipped mass reported.
     """
-    if not p > 0:
+    if not 0 < p < np.inf:
         raise ValueError("pressure must be positive")
     if h_p is None:
         h_p = min(1e-3, p / 10.0)
@@ -145,9 +145,9 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     """Thermodynamic integration against the pressure-derivative identity.
 
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
-         -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by MCMC
-         under the tilted potential alpha V (Gauss-Legendre over the alpha
-         nodes, stderr from replica spread).
+         -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by
+         ``replicas`` MCMC chains that run V at tilt alpha (Gauss-Legendre
+         over the alpha nodes, stderr from replica spread).
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
          the difference of the two solves' multipliers at P.  With F the
          functional minimum and E the log-energy of mu_P, the envelope
@@ -169,11 +169,10 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     if w.is_zero:
         alphas, weights, reports, rhs = alphas[:0], weights[:0], [], 0.0
     else:
-        # chain k * replicas + r samples node k on stream k * replicas + r; all
-        # chains advance together as one batched state
+        # chain k * replicas + r runs V at tilt alphas[k] on stream k * replicas + r;
+        # all chains advance together as one batched state
         reports = _mcmc_chains([SeededStream(seed, i) for i in range(n_alpha * replicas)],
-                               n, p, [w.scaled(float(a)) for a in np.repeat(alphas, replicas)],
-                               mc_sweeps, thin)
+                               n, p, w, np.repeat(alphas, replicas), mc_sweeps, thin)
         # the V and the V = 0 solves share one grid, wide enough for both measures
         zero = Potential.zero()
         grid = Grid(max(domain_auto(p, v) for v in (w, zero)), 2000)

@@ -248,7 +248,7 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max
     P = 0 is allowed (entropy-only problem, minimizer exp(-W)/Z).  A solution
     that still leaks mass at the boundary raises ``DomainTooSmallError``.
     """
-    if p < 0:
+    if not 0 <= p < np.inf:
         raise ValueError("pressure must be nonnegative")
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -313,15 +313,15 @@ def _free_energy_parts(wx, phi, rho, p, h) -> float:
 def domain_auto(p: float, w: Potential) -> float:
     """Smallest half-width L with exp(-W(L) + 2P log(2L)) <= 1e-16 exp(-min W).
 
-    W is evaluated on a probe grid on [-20, 20] and at its exact critical
-    candidates: the roots of W' for the polynomial or the envelope and, for a
-    table, its nodes and the vertex of x^2/2 + a + b x on each segment.  A
+    min W is taken over the exact critical candidates of W, which hold its
+    argmin: the roots of W' for the polynomial or the envelope and, for a
+    table, its nodes and the vertex -b of x^2/2 + a + b x on each segment.  A
     doubling search brackets the crossing, bisection refines it.  The search
     starts at the farthest candidate where the bound fails, or at 1, so no
     well of W is cut off.  The bound keeps the truncated tail mass of the
     fixed-point map below 1e-12.
     """
-    if p < 0:
+    if not 0 <= p < np.inf:
         raise ValueError("pressure must be nonnegative")
     coeffs = np.asarray(w.envelope if w.is_tabulated else w.coeffs, dtype=float)
     # W' in descending powers; a complex root's real part is a harmless extra point
@@ -331,8 +331,7 @@ def domain_auto(p: float, w: Potential) -> float:
         xs, vs = np.asarray(w.table_x), np.asarray(w.table_v)
         candidates += [xs, -np.diff(vs) / np.diff(xs)]
     candidates = np.concatenate(candidates)
-    probe = np.linspace(-20.0, 20.0, 2001)
-    w_min = float(np.min(w.confinement(np.concatenate([probe, candidates]))))
+    w_min = float(np.min(w.confinement(candidates)))
 
     def excess(length):
         # log of the tail envelope relative to the target, > 0 means too small

@@ -242,16 +242,13 @@ def _windows(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarra
     return w, pos
 
 
-def _poly_diagonals(w: np.ndarray, coeffs) -> np.ndarray:
-    """Diagonal of V(W) for a stack (..., k, k) of small dense W, V by ascending coeffs.
-
-    A coefficient is a float (skipped when 0) or an array, one per window.
-    """
+def _poly_diagonals(w: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Diagonal of V(W) for a stack (..., k, k) of small dense W, V by ascending coeffs."""
     total = np.full(w.shape[:-1], coeffs[0] if coeffs else 0.0)
     acc = None
     for c in coeffs[1:]:
         acc = w if acc is None else acc @ w
-        if isinstance(c, np.ndarray) or c != 0.0:
+        if c != 0.0:
             total = total + c * np.diagonal(acc, axis1=-2, axis2=-1)
     return total
 

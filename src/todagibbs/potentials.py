@@ -162,22 +162,6 @@ class Potential:
         x = np.asarray(x, dtype=float)
         return 0.5 * x * x + self(x)
 
-    def scaled(self, factor: float) -> "Potential":
-        """The potential factor * V.  Factor must be nonnegative."""
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        if factor == 0.0 or self.kind == "zero":
-            return Potential.zero()
-        if self.kind == "polynomial":
-            return Potential.polynomial(tuple(factor * c for c in self.coeffs))
-        return Potential(
-            kind="tabulated",
-            table_x=self.table_x,
-            table_v=tuple(factor * v for v in self.table_v),
-            envelope=tuple(factor * c for c in self.envelope),
-            slack=self.slack * max(factor, 1.0),
-        )
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -100,10 +100,10 @@ def _draw_entries(rng: np.random.Generator, n: int, shapes: np.ndarray):
 def sample_chi(stream: SeededStream, dof: float, size=None):
     """Chi-distributed draw(s): X with X^2 ~ Gamma(dof/2, scale 2).
 
-    Any dof > 0 is accepted, including dof < 1 where the distribution piles
-    up near zero.  Draws are floored at 1e-300 to stay strictly positive.
+    Any finite dof > 0 is accepted, including dof < 1 where the distribution
+    piles up near zero.  Draws are floored at 1e-300 to stay strictly positive.
     """
-    if not dof > 0:
+    if not 0 < dof < math.inf:
         raise ValueError("dof must be positive")
     rng = stream.generator()
     x = np.sqrt(rng.gamma(dof / 2.0, 2.0, size=size))
@@ -114,7 +114,7 @@ def sample_toda_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobi
     """Periodic matrix with iid entries: diag N(0,1), offdiag chi_{2P}/sqrt(2)."""
     if n < 3:
         raise ValueError("need n >= 3 for a periodic matrix")
-    if not p > 0:
+    if not 0 < p < math.inf:
         raise ValueError("pressure p must be positive")
     diag, off = _draw_entries(stream.generator(), n, np.full(n, p))
     return PeriodicJacobiMatrix(diag, off, periodic=True)
@@ -128,7 +128,7 @@ def sample_beta_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobi
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if not p > 0:
+    if not 0 < p < math.inf:
         raise ValueError("pressure p must be positive")
     shapes = (n - np.arange(1, n)) * (p / n)
     diag, off = _draw_entries(stream.generator(), n, shapes)
@@ -157,7 +157,7 @@ def sample_coupled_toda(stream: SeededStream, n: int, s: float, h: float):
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if not (s > 0 and h > 0):
+    if not (0 < s < math.inf and 0 < h < math.inf):
         raise ValueError("s and h must be positive")
     rng = stream.generator()
     diag = rng.standard_normal(n)
@@ -263,9 +263,9 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     takes exact Tr V changes from dense local windows, stacked per class;
     when N < 4 deg V + 4 every class is one site, in site order.  Tabulated
     V recomputes the full spectrum per move, so it runs one site at a time,
-    and is limited to N <= 400.  This is the batch of one of ``_mcmc_chains``.
+    and is limited to N <= 400.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
     """
-    return _mcmc_chains([stream], n, p, [v], sweeps, thin, proposal_scales)[0]
+    return _mcmc_chains([stream], n, p, v, [1.0], sweeps, thin, proposal_scales)[0]
 
 
 def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
@@ -287,17 +287,20 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
     )
 
 
-def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int = 1,
-                 proposal_scales=(0.5, 0.5)) -> list[McmcReport]:
-    """``mcmc_toda`` chains, one per stream and potential, advanced as one (chains, N) state.
+def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
+                 thin: int = 1, proposal_scales=(0.5, 0.5)) -> list[McmcReport]:
+    """``mcmc_toda`` chains under one V, chain c at tilt ``tilts[c]``, as one (chains, N) state.
 
-    The potentials share kind and degree, hence the colour classes.  Chain c
-    draws what ``mcmc_toda(streams[c], n, p, potentials[c], ...)`` draws, in
-    the same order, and matches it bit for bit.
+    Chain c samples the Toda ensemble under the potential tilts[c] * V: each
+    move's Tr V change is computed once for V and multiplied by the chain's
+    tilt in its acceptance ratio, so every chain shares V's colour classes.
+    Chain c draws from ``streams[c]`` what a batch of one on that stream
+    draws, in the same order, and at tilt 1 matches
+    ``mcmc_toda(streams[c], n, p, v, ...)`` bit for bit.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if not p > 0:
+    if not 0 < p < math.inf:
         raise ValueError("pressure p must be positive")
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -305,9 +308,9 @@ def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int =
         raise ValueError("thin must be >= 1")
     if not (proposal_scales[0] > 0 and proposal_scales[1] > 0):
         raise ValueError("proposal scales must be positive")
-    if len({(u.kind, len(u.coeffs)) for u in potentials}) != 1:
-        raise ValueError("batched chains need potentials of one kind and degree")
-    v = potentials[0]
+    tilts = np.asarray(tilts, dtype=float)
+    if tilts.shape != (len(streams),) or not np.all((tilts >= 0) & (tilts < math.inf)):
+        raise ValueError("need one finite, nonnegative tilt per stream")
     if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
         raise ValueError(
             f"tabulated potentials recompute full spectra per move; N <= {TABULATED_MCMC_MAX_N}"
@@ -324,24 +327,21 @@ def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int =
     # a tabulated V's every move reads the whole spectrum: singleton classes
     classes = _colour_classes(n, v.degree if v.is_polynomial else n)
     if v.is_polynomial:
-        # a power's coefficient stays a float (so a zero is skipped) where all chains share it
-        coeffs = tuple(float(col[0]) if np.all(col == col[0]) else col[:, None, None]
-                       for col in np.array([u.coeffs for u in potentials]).T)
-
         def delta_tr(sites, kind, new_values):
-            return _trace_deltas(diag, off, True, sites, kind, new_values, coeffs)
+            return _trace_deltas(diag, off, True, sites, kind, new_values, v.coeffs)
     else:
-        # Tr V(M) of each chain's current state, kept for the delta
-        trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), u)
-                        for d, o, u in zip(diag, off, potentials)])
+        # untilted Tr V(M) of each chain's current state, kept for the delta
+        trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
+                        for d, o in zip(diag, off)])
 
         def delta_tr(sites, kind, new_values):
             return np.array([[n * trace_potential(PeriodicJacobiMatrix(d, o).with_entry(
-                int(sites[0]), kind, float(x[0])), u) - t]
-                for d, o, x, u, t in zip(diag, off, new_values, potentials, trv)])
+                int(sites[0]), kind, float(x[0])), v) - t]
+                for d, o, x, t in zip(diag, off, new_values, trv)])
 
-    # diag then offdiag, each a (chains, 1) column
+    # diag then offdiag, each a (chains, 1) column like the tilts
     scales = np.ones((2, chains, 1)) * np.reshape(proposal_scales, (2, 1, 1))
+    tilts = tilts[:, None]
     accepted, proposed = np.zeros((2, chains), dtype=int), 0
     # every 25 sweeps, or once at the end of a shorter burn-in
     adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
@@ -361,7 +361,7 @@ def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int =
             a_old = flat_diag[at]
             a_new = a_old + scales[0] * xi_a[at]
             dtrv = delta_tr(sites, "diag", a_new)
-            ok = log_u_a[at] < _log_accept_a(a_old, a_new, dtrv)
+            ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
             flat_diag[at[ok]] = a_new[ok]
             moved[0, at] = ok
             if not v.is_polynomial:
@@ -374,7 +374,7 @@ def _mcmc_chains(streams, n: int, p: float, potentials, sweeps: int, thin: int =
                 valid = (b_new > 0.0) & np.isfinite(b_new)
                 b_new = np.where(valid, b_new, b_old)
                 dtrv = delta_tr(sites, "offdiag", b_new)
-                ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, dtrv))
+                ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
             flat_off[at[ok]] = b_new[ok]
             moved[1, at] = ok
             if not v.is_polynomial:

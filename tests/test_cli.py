@@ -282,6 +282,15 @@ def test_non_finite_slack_exits_1_before_the_run_opens(tmp_path, capsys, command
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_dos_step_below_rounding_exits_2_and_marks_the_manifest_failed(tmp_path, capsys):
+    # at h_p = 1e-12 the difference quotient of the two solves is rounding noise
+    rc, out = run(tmp_path, "dos", {"p": 1.0, "h_p": 1e-12, "grid": {"m": 200}})
+    assert rc == 2 and "pre-clip mass" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("DosStepError: pre-clip mass")
+
+
 def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys):
     rc, out = run(tmp_path, "solve", {"p": 1, "grid": {"half_width": 0.5, "m": 200}})
     assert rc == 1 and "enlarge the grid half-width" in capsys.readouterr().err
@@ -420,6 +429,11 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     ("checks", {"checks": ["fc_convexity"], "grid": {"m": 100}, "n": 30, "sweeps": 12,
                 "mixture_tol": 0.5, "n_nodes": 9}, {}),
     ("checks", {"checks": ["beta_mixture"], "grid": {"m": 100}, "mixture_tol": 0.5}, {}),
+    # a tabulated V recomputes a spectrum per move, up to n = 400
+    ("sample", {"source": "mcmc", "n": 401, "p": 1.0, "sweeps": 10,
+                "potential": TABULATED_QUARTIC}, {}),
+    # a config that is not a JSON object
+    ("solve", [{"p": 1.0}], {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, out = run(tmp_path, command, cfg, **flags)

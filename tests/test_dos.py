@@ -156,11 +156,11 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
     def integrand(alpha):
         return 3.0 * (1.0 - alpha) ** 12 + alpha
 
-    def chains(streams, n, p, potentials, sweeps, thin):
-        # the chain under alpha V yields a diagonal matrix with (1/N) Tr V = integrand(alpha)
+    def chains(streams, n, p, v, tilts, sweeps, thin):
+        # the chain at tilt alpha yields a diagonal matrix with (1/N) Tr V = integrand(alpha)
         reports = []
-        for tilted in potentials:
-            x = (integrand(tilted.coeffs[4] / 0.1) / 0.1) ** 0.25
+        for alpha in tilts:
+            x = (integrand(alpha) / v.coeffs[4]) ** 0.25
             sample = PeriodicJacobiMatrix(np.full(n, x), np.zeros(n))
             reports.append(McmcReport([sample] * 100, {"diag": 0.25, "offdiag": 0.75},
                                       1.0, 100.0, sweeps))

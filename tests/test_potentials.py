@@ -76,14 +76,6 @@ def test_tabulated_nonconfining_envelope():
         Potential.tabulated(xs, -(xs ** 2), envelope_coeffs=[0, 0, -1.0])
 
 
-def test_scaled():
-    v = Potential.polynomial([0, 0, 0, 0, 0.4])
-    half = v.scaled(0.5)
-    assert half.coeffs[-1] == pytest.approx(0.2)
-    assert v.scaled(0.0).is_zero
-    assert Potential.zero().scaled(3.0).is_zero
-
-
 def test_round_trip_dict():
     for v in (Potential.zero(),
               Potential.polynomial([1.0, 0, 2.0]),

@@ -7,8 +7,9 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from todagibbs import (NonConfiningError, Potential,
-                       SeededStream, VarianceProfile, eigenvalues,
+from todagibbs import (Grid, NonConfiningError, Potential,
+                       SeededStream, VarianceProfile, domain_auto, dos_from_equilibrium,
+                       eigenvalues, solve_equilibrium,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_chi, sample_coupled_toda,
                        sample_profile_matrix, sample_toda_matrix, trace_power)
@@ -67,6 +68,24 @@ def test_chi_parameter_validation():
     with pytest.raises(ValueError):
         sample_chi(SeededStream(0, 0), -1.0)
     assert sample_chi(SeededStream(0, 0), 0.2) > 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: mcmc_toda(SeededStream(0, 0), 5, x, Potential.polynomial([0, 0, 1.0]), sweeps=2),
+    lambda x: sample_toda_matrix(SeededStream(0, 0), 5, x),
+    lambda x: sample_beta_matrix(SeededStream(0, 0), 5, x),
+    lambda x: sample_coupled_toda(SeededStream(0, 0), 5, x, 0.1),
+    lambda x: sample_coupled_toda(SeededStream(0, 0), 5, 1.0, x),
+    lambda x: sample_chi(SeededStream(0, 0), x),
+    lambda x: solve_equilibrium(x, Potential.zero(), Grid(6.0, 64)),
+    lambda x: dos_from_equilibrium(x, Potential.zero(), Grid(6.0, 64)),
+    lambda x: domain_auto(x, Potential.zero()),
+], ids=["mcmc_toda", "toda", "beta", "coupled_s", "coupled_h", "chi", "solve", "dos",
+        "domain_auto"])
+def test_pressures_must_be_finite(call, value):
+    with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
+        call(value)
 
 
 # -- iid matrix ensembles ------------------------------------------------------
@@ -354,28 +373,59 @@ def test_class_sweeps_match_sequential_dense_oracle(n):
     assert all(0.0 < r < 1.0 for r in rep.acceptance.values())
 
 
+TILTS = (0.05, 0.37, 1.0, 8.0)
+CHAIN_KWARGS = dict(sweeps=60, thin=2, proposal_scales=(1.5, 1.5))
+
+
+def assert_same_chain(got, want):
+    assert len(got.samples) == len(want.samples) == 24
+    for a, b in zip(got.samples, want.samples):
+        assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
+    assert got.acceptance == want.acceptance
+    assert got.proposal_scales == want.proposal_scales
+    assert got.autocorr_time == want.autocorr_time and got.ess == want.ess
+    assert np.array_equal(got.trace_sq_series, want.trace_sq_series)
+
+
 @pytest.mark.parametrize("n", [5, 40])
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_batched_chains_match_mcmc_toda_chain_by_chain(degree, n):
-    # several tilts alpha V in one batch, so the coefficients differ per chain;
-    # at N = 5 the classes are single sites and degree 6 takes whole-matrix
-    # windows; 60 sweeps adapt the scales once, after a 12-sweep burn-in
+    # one V at several tilts in one batch: each chain is its batch of one, and
+    # the tilt-1 chain is mcmc_toda's; at N = 5 the classes are single sites and
+    # degree 6 takes whole-matrix windows; 60 sweeps adapt the scales once,
+    # after a 12-sweep burn-in
     v = Potential.polynomial([0.0] * degree + [1.0])
-    tilted = [v.scaled(alpha) for alpha in (0.05, 1.0, 8.0)]
-    streams = [SeededStream(3, i) for i in range(len(tilted))]
-    kwargs = dict(sweeps=60, thin=2, proposal_scales=(1.5, 1.5))
-    batch = _mcmc_chains(streams, n, 1.0, tilted, **kwargs)
-    for stream, u, got in zip(streams, tilted, batch, strict=True):
-        want = mcmc_toda(stream, n, 1.0, u, **kwargs)
-        assert len(got.samples) == len(want.samples) == 24
-        for a, b in zip(got.samples, want.samples):
-            assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
-        assert got.acceptance == want.acceptance
-        assert got.proposal_scales == want.proposal_scales
-        assert got.autocorr_time == want.autocorr_time and got.ess == want.ess
-        assert np.array_equal(got.trace_sq_series, want.trace_sq_series)
+    streams = [SeededStream(3, i) for i in range(len(TILTS))]
+    batch = _mcmc_chains(streams, n, 1.0, v, TILTS, **CHAIN_KWARGS)
+    for stream, tilt, got in zip(streams, TILTS, batch, strict=True):
+        assert_same_chain(got, _mcmc_chains([stream], n, 1.0, v, [tilt], **CHAIN_KWARGS)[0])
+    assert_same_chain(batch[TILTS.index(1.0)],
+                      mcmc_toda(streams[TILTS.index(1.0)], n, 1.0, v, **CHAIN_KWARGS))
     # the adaptation moved each chain's scales by its own acceptance
     assert len({rep.proposal_scales for rep in batch}) > 1
+
+
+@pytest.mark.parametrize("n", [5, 40])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_tilted_chain_matches_mcmc_toda_under_scaled_polynomial(degree, n):
+    # the chain at tilt alpha samples the polynomial alpha V: it makes the same
+    # moves as mcmc_toda under that polynomial, whose deltas round differently
+    coeffs = [0.5 * (k % 2 == 0) for k in range(degree)] + [1.0]
+    v = Potential.polynomial(coeffs)
+    for seed in range(3):
+        streams = [SeededStream(seed, i) for i in range(len(TILTS))]
+        batch = _mcmc_chains(streams, n, 1.0, v, TILTS, **CHAIN_KWARGS)
+        for stream, alpha, got in zip(streams, TILTS, batch, strict=True):
+            scaled = Potential.polynomial([alpha * c for c in coeffs])
+            assert_same_chain(got, mcmc_toda(stream, n, 1.0, scaled, **CHAIN_KWARGS))
+
+
+@pytest.mark.parametrize("tilts", [[1.0], [1.0, 2.0, 3.0], [1.0, -0.5], [1.0, math.nan],
+                                   [math.inf, 1.0]])
+def test_tilts_need_one_finite_nonnegative_value_per_stream(tilts):
+    streams = [SeededStream(0, i) for i in range(2)]
+    with pytest.raises(ValueError, match="tilt"):
+        _mcmc_chains(streams, 5, 1.0, Potential.polynomial([0, 0, 1.0]), tilts, sweeps=2)
 
 
 def test_short_burn_in_adapts_proposal_scales():
