@@ -16,26 +16,24 @@ from .dos import (DosResult, DosStepError, beta_mixture_check,
                   free_energy_relation_check, mixture_over_profile,
                   nu_density_relation_check)
 from .matrices import (EmpiricalSpectralMeasure, InvalidMatrixError,
-                       PeriodicJacobiMatrix, dump_matrix, eigenvalues,
-                       load_matrix, local_trace_delta, trace_potential,
-                       trace_power)
+                       PeriodicJacobiMatrix, eigenvalues, load_matrix,
+                       trace_potential, trace_power)
 from .metrics import (bl_bv_distance, ks_distance, log_energy_distance,
                       smooth_empirical)
 from .potentials import NonConfiningError, Potential
 from .sampling import (McmcReport, SeededStream, VarianceProfile,
                        integrated_autocorr_time, mcmc_toda, replica_map,
-                       sample_beta_matrix, sample_chi, sample_coupled_toda,
-                       sample_profile_matrix, sample_toda_matrix)
+                       sample_beta_matrix, sample_profile_matrix,
+                       sample_toda_matrix)
 
 __all__ = [
     "__version__",
     "Potential", "NonConfiningError",
     "PeriodicJacobiMatrix", "EmpiricalSpectralMeasure", "InvalidMatrixError",
-    "eigenvalues", "trace_power", "trace_potential", "local_trace_delta",
-    "dump_matrix", "load_matrix",
+    "eigenvalues", "trace_power", "trace_potential", "load_matrix",
     "SeededStream", "VarianceProfile", "McmcReport",
-    "sample_chi", "sample_toda_matrix", "sample_beta_matrix",
-    "sample_profile_matrix", "sample_coupled_toda", "mcmc_toda",
+    "sample_toda_matrix", "sample_beta_matrix", "sample_profile_matrix",
+    "mcmc_toda",
     "integrated_autocorr_time", "replica_map",
     "Grid", "GridDensity", "LogKernel", "EquilibriumSolution",
     "build_log_kernel", "free_energy", "solve_equilibrium", "domain_auto",

@@ -155,8 +155,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
          the multiplier lambda (integrate the Euler-Lagrange equation
          against mu_P).
 
-    For V = 0 both sides vanish, so neither a chain nor a solve runs and
-    min_ess is None.
+    For V = 0 both sides vanish, so no chain and no solve runs (the inputs
+    are still validated) and min_ess is None.
     """
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
@@ -167,12 +167,14 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
 
     alphas, weights = gauss_legendre_unit(n_alpha)
     if w.is_zero:
-        alphas, weights, reports, rhs = alphas[:0], weights[:0], [], 0.0
-    else:
-        # chain k * replicas + r runs V at tilt alphas[k] on stream k * replicas + r;
-        # all chains advance together as one batched state
-        reports = _mcmc_chains([SeededStream(seed, i) for i in range(n_alpha * replicas)],
-                               n, p, w, np.repeat(alphas, replicas), mc_sweeps, thin)
+        alphas, weights = alphas[:0], weights[:0]
+    # chain k * replicas + r runs V at tilt alphas[k] on stream k * replicas + r;
+    # all chains advance together as one batched state, and with no node (V = 0)
+    # the runner still validates p, n, mc_sweeps and thin
+    reports = _mcmc_chains([SeededStream(seed, i) for i in range(alphas.size * replicas)],
+                           n, p, w, np.repeat(alphas, replicas), mc_sweeps, thin)
+    rhs = 0.0
+    if not w.is_zero:
         # the V and the V = 0 solves share one grid, wide enough for both measures
         zero = Potential.zero()
         grid = Grid(max(domain_auto(p, v) for v in (w, zero)), 2000)

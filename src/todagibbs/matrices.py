@@ -17,8 +17,8 @@ polynomial V sum the centre entry V(M)_jj of the window around each j.  A
 closed walk that uses one entry goes out and back, so it stays within
 (k - 1) // 2 sites of it, and ``_trace_deltas`` gets the change of Tr V(M)
 under one symmetric entry-pair update from the old and the new window
-around the modified site; ``local_trace_delta`` calls it with one site,
-and the Metropolis chain with a whole colour class.
+around the modified site, for a whole colour class of the Metropolis
+chain at once.
 """
 
 from __future__ import annotations
@@ -315,28 +315,6 @@ def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.n
     return traces[1] - traces[0]
 
 
-def local_trace_delta(m: PeriodicJacobiMatrix, site: int, kind: str,
-                      new_value: float, v: Potential) -> float:
-    """Tr V(M') - Tr V(M) where M' replaces one symmetric entry pair.
-
-    Exact up to rounding for polynomial V at every N: a small dense window
-    around the entry when it fits, the whole dense matrix otherwise (degree
-    about N or above).
-    """
-    if not v.is_polynomial:
-        raise TypeError("local_trace_delta needs a polynomial potential")
-    _require_finite(m)
-    entries = {"diag": m.diag, "offdiag": m.offdiag}.get(kind)
-    if entries is None:
-        raise ValueError(f"kind must be 'diag' or 'offdiag', got {kind!r}")
-    if not 0 <= site < entries.size:
-        raise ValueError(f"{kind} site out of range")
-    if v.is_zero or new_value == entries[site]:
-        return 0.0
-    return float(_trace_deltas(m.diag, m.offdiag, m.periodic, np.array([site]), kind,
-                               np.array([new_value]), v.coeffs)[0])
-
-
 # -- text dump format ---------------------------------------------------
 
 def matrix_text(m: PeriodicJacobiMatrix) -> str:
@@ -344,12 +322,6 @@ def matrix_text(m: PeriodicJacobiMatrix) -> str:
     return (f"{m.n} {1 if m.periodic else 0}\n"
             + " ".join(format(x, ".17g") for x in m.diag) + "\n"
             + " ".join(format(x, ".17g") for x in m.offdiag) + "\n")
-
-
-def dump_matrix(m: PeriodicJacobiMatrix, path) -> None:
-    """Write ``matrix_text(m)`` to ``path``; ``load_matrix`` reads it back."""
-    with open(path, "w") as fh:
-        fh.write(matrix_text(m))
 
 
 def load_matrix(path) -> PeriodicJacobiMatrix:

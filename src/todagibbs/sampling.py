@@ -87,27 +87,10 @@ class VarianceProfile:
         return np.interp(t, xs, np.asarray(self.values))
 
 
-def _chi_positive(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, _CHI_FLOOR)
-
-
 def _draw_entries(rng: np.random.Generator, n: int, shapes: np.ndarray):
     """n standard-normal diagonal entries, then sqrt(Gamma(shape, 1)) off-diagonal entries."""
     diag = rng.standard_normal(n)
-    return diag, _chi_positive(np.sqrt(rng.gamma(shapes, 1.0)))
-
-
-def sample_chi(stream: SeededStream, dof: float, size=None):
-    """Chi-distributed draw(s): X with X^2 ~ Gamma(dof/2, scale 2).
-
-    Any finite dof > 0 is accepted, including dof < 1 where the distribution
-    piles up near zero.  Draws are floored at 1e-300 to stay strictly positive.
-    """
-    if not 0 < dof < math.inf:
-        raise ValueError("dof must be positive")
-    rng = stream.generator()
-    x = np.sqrt(rng.gamma(dof / 2.0, 2.0, size=size))
-    return _chi_positive(x) if size is not None else float(max(x, _CHI_FLOOR))
+    return diag, np.maximum(np.sqrt(rng.gamma(shapes, 1.0)), _CHI_FLOOR)
 
 
 def sample_toda_matrix(stream: SeededStream, n: int, p: float) -> PeriodicJacobiMatrix:
@@ -146,28 +129,6 @@ def sample_profile_matrix(stream: SeededStream, n: int,
         raise ValueError("need n >= 3 for a periodic matrix")
     diag, off = _draw_entries(stream.generator(), n, profile(np.arange(1, n + 1) / n))
     return PeriodicJacobiMatrix(diag, off, periodic=True)
-
-
-def sample_coupled_toda(stream: SeededStream, n: int, s: float, h: float):
-    """Monotone coupling of pressures s and s+h on a shared diagonal.
-
-    The second matrix's off-diagonal entries are the root-sum-square of the
-    first's with an independent chi_{2h}/sqrt(2) increment, so marginals are
-    exact and entrywise dominance b_i(s+h) >= b_i(s) holds surely.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not (0 < s < math.inf and 0 < h < math.inf):
-        raise ValueError("s and h must be positive")
-    rng = stream.generator()
-    diag = rng.standard_normal(n)
-    b_s_sq = rng.gamma(s, 1.0, size=n)
-    incr_sq = rng.gamma(h, 1.0, size=n)
-    b_s = _chi_positive(np.sqrt(b_s_sq))
-    b_sh = _chi_positive(np.sqrt(b_s_sq + incr_sq))
-    lo = PeriodicJacobiMatrix(diag, b_s, periodic=True)
-    hi = PeriodicJacobiMatrix(diag, b_sh, periodic=True)
-    return lo, hi
 
 
 # -- Metropolis-within-Gibbs chain ---------------------------------------

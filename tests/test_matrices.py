@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 import types
@@ -16,10 +17,9 @@ from hypothesis import strategies as st
 
 from todagibbs import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        PeriodicJacobiMatrix, Potential, bl_bv_distance,
-                       dump_matrix, eigenvalues, load_matrix,
-                       local_trace_delta, trace_potential, trace_power)
+                       eigenvalues, load_matrix, trace_potential, trace_power)
 from todagibbs import matrices
-from todagibbs.matrices import _folded_band, _trace_deltas
+from todagibbs.matrices import _folded_band, _trace_deltas, matrix_text
 from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
 
 from _oracles import char_poly_eigenvalues
@@ -250,7 +250,8 @@ def test_trace_potential_tabulated_beyond_table_uses_envelope():
 def test_local_delta_no_change_is_zero():
     rng = np.random.default_rng(5)
     m = random_matrix(rng, 9)
-    assert local_trace_delta(m, 4, "diag", m.diag[4], V4) == 0.0
+    delta = _trace_deltas(m.diag, m.offdiag, m.periodic, [4], "diag", [m.diag[4]], V4.coeffs)
+    assert delta[0] == 0.0
 
 
 def test_local_delta_quadratic_closed_form():
@@ -258,7 +259,7 @@ def test_local_delta_quadratic_closed_form():
     m = random_matrix(rng, 9)
     v2 = Potential.polynomial([0, 0, 1.0])
     new = 1.7
-    delta = local_trace_delta(m, 3, "offdiag", new, v2)
+    delta = _trace_deltas(m.diag, m.offdiag, m.periodic, [3], "offdiag", [new], v2.coeffs)[0]
     assert delta == pytest.approx(2.0 * (new ** 2 - m.offdiag[3] ** 2), rel=1e-12)
 
 
@@ -271,7 +272,8 @@ def test_local_delta_matches_full_recompute(periodic):
     for site in sites:
         for kind in ("diag", "offdiag"):
             new = float(rng.standard_normal() ** 2 + 0.05)
-            d_local = local_trace_delta(m, site, kind, new, V4)
+            d_local = _trace_deltas(m.diag, m.offdiag, periodic, [site], kind, [new],
+                                    V4.coeffs)[0]
             m2 = m.with_entry(site, kind, new)
             d_full = n * (trace_potential(m2, V4) - trace_potential(m, V4))
             assert d_local == pytest.approx(d_full, abs=1e-10 * (1 + abs(d_full)))
@@ -311,7 +313,7 @@ def test_local_delta_degree_fallback():
     rng = np.random.default_rng(23)
     m = random_matrix(rng, 7)
     v8 = Potential.polynomial([0] * 8 + [1.0])
-    d_local = local_trace_delta(m, 2, "diag", 0.4, v8)
+    d_local = _trace_deltas(m.diag, m.offdiag, m.periodic, [2], "diag", [0.4], v8.coeffs)[0]
     m2 = m.with_entry(2, "diag", 0.4)
     d_full = np.sum(v8(eigenvalues(m2).values)) - np.sum(v8(eigenvalues(m).values))
     assert d_local == pytest.approx(d_full, rel=1e-9)
@@ -326,7 +328,7 @@ def test_local_delta_sweep_composes_to_global_difference():
     for site in range(n):
         for kind in ("diag", "offdiag"):
             new = float(rng.standard_normal() ** 2 + 0.05)
-            total += local_trace_delta(m, site, kind, new, V4)
+            total += _trace_deltas(m.diag, m.offdiag, True, [site], kind, [new], V4.coeffs)[0]
             m = m.with_entry(site, kind, new)
     global_diff = n * (trace_potential(m, V4) - trace_potential(start, V4))
     assert total == pytest.approx(global_diff, abs=1e-8)
@@ -369,9 +371,11 @@ def test_weyl_rank_bound(seed):
 def test_dump_round_trip(seed, periodic):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, int(rng.integers(3, 20)), periodic=periodic)
-    path = "/tmp/todagibbs_dump_test.txt"
-    dump_matrix(m, path)
-    again = load_matrix(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matrix.txt")
+        with open(path, "w") as fh:
+            fh.write(matrix_text(m))
+        again = load_matrix(path)
     assert again.periodic == m.periodic
     assert np.array_equal(again.diag, m.diag)
     assert np.array_equal(again.offdiag, m.offdiag)

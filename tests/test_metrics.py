@@ -11,7 +11,7 @@ from scipy.special import exp1
 
 from todagibbs import (EmpiricalSpectralMeasure, Grid, GridDensity,
                        SeededStream, bl_bv_distance, ks_distance,
-                       log_energy_distance, sample_chi, smooth_empirical)
+                       log_energy_distance, smooth_empirical)
 from todagibbs.metrics import KDE_MAX_TERMS
 
 from _oracles import atomic_cdf_gap, bathtub_lp, direct_gaussian_kde, fourier_log_energy
@@ -237,7 +237,7 @@ def test_smooth_memory_is_bounded_on_a_fine_grid():
 
 
 def test_smoothing_bias_shrinks_with_bandwidth():
-    draws = sample_chi(SeededStream(21, 0), 4.0, size=2000)
+    draws = np.sqrt(SeededStream(21, 0).generator().gamma(2.0, 2.0, size=2000))
     es = EmpiricalSpectralMeasure(draws)
     g = Grid(8.0, 2000)
     gaps = [ks_distance(smooth_empirical(es, g, bandwidth=bw), es)
