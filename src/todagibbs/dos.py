@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Grid, GridDensity, build_log_kernel, domain_auto, solve_equilibrium
-from .matrices import trace_potential
 from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
-from .sampling import SeededStream, _mcmc_chains
+from .sampling import SeededStream, _mcmc_chains, integrated_autocorr_time
 
 
 # largest clipped negative mass a density of states may carry
@@ -147,7 +146,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by
          ``replicas`` MCMC chains that run V at tilt alpha (Gauss-Legendre
-         over the alpha nodes, stderr from replica spread).
+         over the alpha nodes, stderr from replica spread); a chain's mean and
+         ESS (node_ess, min_ess) read its running (1/N) Tr V at its kept sweeps.
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
          the difference of the two solves' multipliers at P.  With F the
          functional minimum and E the log-energy of mu_P, the envelope
@@ -181,9 +181,9 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
         lam_v, lam_0 = (solve_equilibrium(p, v, grid, tol=tol, raise_on_failure=True).lam
                         for v in (w, zero))
         rhs = lam_0 - lam_v
-    values = np.reshape([np.mean([trace_potential(m, w) for m in r.samples]) for r in reports],
-                        (-1, replicas))
-    ess = np.reshape([r.ess for r in reports], values.shape)
+    kept = [r.trace_v_series[::thin] for r in reports]
+    values = np.reshape([np.mean(s) for s in kept], (-1, replicas))
+    ess = np.reshape([s.size / integrated_autocorr_time(s) for s in kept], values.shape)
     rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
              for kind in ("diag", "offdiag")}
     node_means = values.mean(axis=1)

@@ -136,7 +136,7 @@ def sample_profile_matrix(stream: SeededStream, n: int,
 
 @dataclass
 class McmcReport:
-    """Thinned samples plus mixing diagnostics for one chain."""
+    """Thinned samples plus mixing diagnostics for one chain; the diagnostics read Tr M^2."""
 
     samples: list
     acceptance: dict
@@ -144,6 +144,7 @@ class McmcReport:
     ess: float
     sweeps: int
     trace_sq_series: np.ndarray = field(repr=False, default=None)
+    trace_v_series: np.ndarray = field(repr=False, default=None)
     proposal_scales: tuple = (0.0, 0.0)
 
     def __post_init__(self):
@@ -158,7 +159,8 @@ def integrated_autocorr_time(series: np.ndarray) -> float:
     """Integrated autocorrelation time with Sokal's adaptive window."""
     x = np.asarray(series, dtype=float)
     n = x.size
-    if n < 8:
+    # a constant series is uncorrelated, though its mean can round off its value
+    if n < 8 or np.all(x == x[0]):
         return 1.0
     x = x - x.mean()
     var = np.dot(x, x) / n
@@ -245,6 +247,7 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
         ess=float(len(samples)),
         sweeps=sweeps,
         trace_sq_series=np.asarray(t2_series),
+        trace_v_series=np.zeros(len(t2_series)),
     )
 
 
@@ -287,14 +290,13 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                                             for rng in rngs)))
     # a tabulated V's every move reads the whole spectrum: singleton classes
     classes = _colour_classes(n, v.degree if v.is_polynomial else n)
+    # untilted Tr V(M) of each chain's current state, advanced by the accepted deltas
+    trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
+                    for d, o in zip(diag, off)])
     if v.is_polynomial:
         def delta_tr(sites, kind, new_values):
             return _trace_deltas(diag, off, True, sites, kind, new_values, v.coeffs)
     else:
-        # untilted Tr V(M) of each chain's current state, kept for the delta
-        trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
-                        for d, o in zip(diag, off)])
-
         def delta_tr(sites, kind, new_values):
             return np.array([[n * trace_potential(PeriodicJacobiMatrix(d, o).with_entry(
                 int(sites[0]), kind, float(x[0])), v) - t]
@@ -311,7 +313,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     flat_diag, flat_off = diag.reshape(-1), off.reshape(-1)
     flat_classes = [(sites, sites + n * np.arange(chains)[:, None]) for sites in classes]
     moved = np.zeros((2, chains * n), dtype=bool)
-    samples, t2_series = [[] for _ in rngs], []
+    samples, t2_series, trv_series = [[] for _ in rngs], [], []
 
     for sweep in range(sweeps):
         xi_a, log_u_a, xi_b, log_u_b = (np.concatenate(x) for x in zip(*(
@@ -325,8 +327,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
             flat_diag[at[ok]] = a_new[ok]
             moved[0, at] = ok
-            if not v.is_polynomial:
-                trv += np.where(ok, dtrv, 0.0)[:, 0]
+            trv += np.add.reduce(dtrv, axis=1, where=ok)
             # off-diagonal moves: multiplicative log-normal random walk; a
             # proposal that overflows or is not positive is rejected
             b_old = flat_off[at]
@@ -338,8 +339,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                 ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
             flat_off[at[ok]] = b_new[ok]
             moved[1, at] = ok
-            if not v.is_polynomial:
-                trv += np.where(ok, dtrv, 0.0)[:, 0]
+            trv += np.add.reduce(dtrv, axis=1, where=ok)
         # the classes partition the sites: each move was recorded once
         accepted += moved.reshape(2, chains, n).sum(axis=2)
         proposed += n
@@ -353,12 +353,13 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             continue
 
         t2_series.append((np.sum(diag ** 2, axis=1) + 2.0 * np.sum(off ** 2, axis=1)) / n)
+        trv_series.append(trv / n)
         if (sweep - burn) % thin == 0:
             for chain_samples, d, o in zip(samples, diag, off):
                 chain_samples.append(PeriodicJacobiMatrix(d, o, periodic=True))
 
     rates = accepted / max(proposed, 1)
-    series = np.ascontiguousarray(np.transpose(t2_series))
+    series, v_series = (np.ascontiguousarray(np.transpose(x)) for x in (t2_series, trv_series))
     return [McmcReport(
         samples=kept,
         acceptance={"diag": float(rates[0, c]), "offdiag": float(rates[1, c])},
@@ -366,6 +367,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
         ess=len(kept) / integrated_autocorr_time(series[c, ::thin]),
         sweeps=sweeps,
         trace_sq_series=series[c],
+        trace_v_series=v_series[c],
         proposal_scales=(float(scales[0, c, 0]), float(scales[1, c, 0])),
     ) for c, kept in enumerate(samples)]
 

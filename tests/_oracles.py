@@ -6,9 +6,11 @@ eigenvalues, a linear program for the bathtub dual distance (on CDF gaps
 counted directly from the atoms), characteristic-function quadrature for the
 log-energy distance, brute-force quadrature for the two-point
 beta-ensemble moment, a one-move-at-a-time Metropolis sweep with Tr V
-from the dense matrix, and the untruncated Gaussian kernel sum.  Nothing
-here imports from todagibbs.
+from the dense matrix, the untruncated Gaussian kernel sum, and closed forms
+for a quadratic V.  Nothing here imports from todagibbs.
 """
+
+import math
 
 import numpy as np
 from numpy.polynomial import Polynomial as Poly
@@ -168,3 +170,22 @@ def sequential_metropolis_sweeps(diag, off, p, coeffs, classes, draws, scales):
                     off[i] = b
         states.append((diag.copy(), off.copy()))
     return states
+
+
+# V = c x^2 keeps the entries independent: Tr V(M) = c (sum a_i^2 + 2 sum b_i^2).
+# Under the Toda law tilted by exp(-alpha Tr V), a_i ~ N(0, 1 / (1 + 2 alpha c))
+# and b_i^2 ~ Gamma(P, scale 1 / (1 + 2 alpha c)) (Dumitriu and Edelman,
+# J. Math. Phys. 2002), which gives both closed forms at every N.
+
+def quadratic_v_log_moment(c, p):
+    """(1/N) log E_0[exp(-Tr V)] for V = c x^2: -(1/2 + P) log(1 + 2c).
+
+    E[exp(-c a^2)] = (1 + 2c)^(-1/2) for a ~ N(0, 1) and E[exp(-2c b^2)] =
+    (1 + 2c)^(-P) for b^2 ~ Gamma(P, 1).
+    """
+    return -(0.5 + p) * math.log1p(2.0 * c)
+
+
+def quadratic_v_tilted_mean(c, p, alpha=1.0):
+    """E_alpha[(1/N) Tr V] for V = c x^2 at tilt alpha: c (1 + 2P) / (1 + 2 alpha c)."""
+    return c * (1.0 + 2.0 * p) / (1.0 + 2.0 * alpha * c)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from todagibbs import dos
-from todagibbs import (Grid, McmcReport, PeriodicJacobiMatrix, Potential, VarianceProfile,
+from todagibbs import (Grid, McmcReport, Potential, VarianceProfile,
                        beta_mixture_check, d_lipschitz_sweep,
                        domain_auto, dos_from_equilibrium, fc_convexity_check,
                        free_energy_relation_check, mixture_over_profile,
                        nu_density_relation_check, solve_equilibrium)
+
+from _oracles import quadratic_v_log_moment
 
 W0 = Potential.zero()
 
@@ -157,14 +159,12 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
         return 3.0 * (1.0 - alpha) ** 12 + alpha
 
     def chains(streams, n, p, v, tilts, sweeps, thin):
-        # the chain at tilt alpha yields a diagonal matrix with (1/N) Tr V = integrand(alpha)
-        reports = []
-        for alpha in tilts:
-            x = (integrand(alpha) / v.coeffs[4]) ** 0.25
-            sample = PeriodicJacobiMatrix(np.full(n, x), np.zeros(n))
-            reports.append(McmcReport([sample] * 100, {"diag": 0.25, "offdiag": 0.75},
-                                      1.0, 100.0, sweeps))
-        return reports
+        # the chain at tilt alpha records (1/N) Tr V = integrand(alpha) after each
+        # of 100 * thin sweeps; the constant series has tau 1, so 100 kept sweeps
+        # are 100 effective samples
+        return [McmcReport([], {"diag": 0.25, "offdiag": 0.75}, 1.0, 0.0, sweeps,
+                           trace_v_series=np.full(100 * thin, integrand(alpha)))
+                for alpha in tilts]
 
     monkeypatch.setattr(dos, "_mcmc_chains", chains)
     v = Potential.polynomial([0, 0, 0, 0, 0.1])
@@ -200,12 +200,8 @@ def test_free_energy_check_zero_potential_validates_its_inputs(p, n, sweeps):
 
 @pytest.mark.parametrize("c, p", [(0.1, 1.0), (0.5, 0.5)])
 def test_free_energy_check_quadratic_v_closed_form(c, p):
-    # V = c x^2 keeps the entries independent: Tr V = c (sum a_i^2 + 2 sum b_i^2),
-    # E[exp(-c a^2)] = (1 + 2c)^(-1/2) for a ~ N(0, 1) and E[exp(-2c b^2)] =
-    # (1 + 2c)^(-P) for b^2 ~ Gamma(P, 1), so (1/N) log E_0[exp(-Tr V)] is
-    # -(1/2 + P) log(1 + 2c) at every N (Dumitriu and Edelman, J. Math. Phys.
-    # 2002); that is the exact lhs, and the rhs's N -> infinity limit
-    exact = -(0.5 + p) * math.log1p(2.0 * c)
+    # the exact lhs at every N, and the rhs's N -> infinity limit
+    exact = quadratic_v_log_moment(c, p)
     rep = free_energy_relation_check(p, Potential.polynomial([0, 0, c]), n=100,
                                      mc_sweeps=150, seed=3)
     # the rhs errs only by the 2000-point solves, measured 2.4e-7 and 8.4e-7

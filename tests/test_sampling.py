@@ -12,12 +12,12 @@ from todagibbs import (Grid, NonConfiningError, Potential,
                        eigenvalues, solve_equilibrium,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_profile_matrix,
-                       sample_toda_matrix, trace_power)
+                       sample_toda_matrix, trace_potential, trace_power)
 from todagibbs.sampling import (_colour_classes, _draw_entries, _log_accept_a, _log_accept_b,
                                 _mcmc_chains)
 from todagibbs.matrices import _trace_deltas
 
-from _oracles import sequential_metropolis_sweeps
+from _oracles import quadratic_v_tilted_mean, sequential_metropolis_sweeps
 
 
 def stderr(x):
@@ -192,6 +192,7 @@ def test_mcmc_zero_potential_matches_iid():
     rep = mcmc_toda(SeededStream(11, 0), 300, 1.0, Potential.zero(), sweeps=120, thin=2)
     assert rep.acceptance == {"diag": 1.0, "offdiag": 1.0}
     assert rep.ess == len(rep.samples)
+    assert np.array_equal(rep.trace_v_series, np.zeros(rep.trace_sq_series.size))
     iid = [trace_power(sample_toda_matrix(SeededStream(12, i), 300, 1.0), 2)
            for i in range(60)]
     chain = rep.trace_sq_series
@@ -258,6 +259,52 @@ def test_mcmc_quartic_moment_against_exact_reweighting():
     ess_w = np.sum(w) ** 2 / np.sum(w ** 2)
     se_target = t2.std() / math.sqrt(ess_w)
     assert abs(chain_mean - target) <= 4.0 * math.hypot(se_chain, se_target)
+
+
+def tabulated_quadratic(c, h):
+    """c x^2 tabulated on [-8, 8] at node spacing h, with envelope c x^2 beyond."""
+    xs = np.linspace(-8.0, 8.0, round(16.0 / h) + 1)
+    return Potential.tabulated(xs, c * xs ** 2, envelope_coeffs=[0, 0, c])
+
+
+@pytest.mark.parametrize("v, n, tilts", [
+    (Potential.polynomial([0, 0, 0, 0, 1.0]), 200, (0.1, 0.5, 1.0)),
+    (tabulated_quadratic(0.5, 0.1), 10, (0.3, 1.0)),
+], ids=["quartic", "tabulated"])
+def test_running_trace_v_matches_kept_samples(v, n, tilts):
+    # a chain traces Tr V once at its start and then adds the accepted changes;
+    # at every kept sweep that running sum is a fresh trace of the kept sample
+    streams = [SeededStream(8, i) for i in range(len(tilts))]
+    for rep in _mcmc_chains(streams, n, 1.0, v, tilts, sweeps=60, thin=3):
+        exact = [trace_potential(m, v) for m in rep.samples]
+        assert rep.trace_v_series.size == 48  # the post-burn sweeps
+        np.testing.assert_allclose(rep.trace_v_series[::3], exact, rtol=1e-12, atol=0.0)
+
+
+def assert_chain_mean_trace_v(rep, c, p, bias=0.0):
+    series = rep.trace_v_series
+    se = series.std() * math.sqrt(integrated_autocorr_time(series) / series.size)
+    assert abs(series.mean() - quadratic_v_tilted_mean(c, p)) <= 4.0 * se + bias
+
+
+@pytest.mark.parametrize("c, p", [(0.5, 1.0), (0.1, 0.5)])
+def test_quadratic_v_chain_mean_trace_v_closed_form(c, p):
+    # V = c x^2 at N = 200, where the entry laws give E[(1/N) Tr V] exactly
+    rep = mcmc_toda(SeededStream(1, 0), 200, p, Potential.polynomial([0, 0, c]), sweeps=400)
+    assert_chain_mean_trace_v(rep, c, p)
+
+
+def test_tabulated_quadratic_v_chain_mean_trace_v_closed_form():
+    # the same law through the tabulated path, at N = 10 where its per-move
+    # eigensolves stay cheap.  The interpolant of c x^2 at spacing h exceeds it
+    # by at most c h^2 / 4, so (1/N) Tr V does too, and the law's density moves
+    # by a factor within exp(+-N c h^2 / 4): the mean is biased by at most
+    # c h^2 / 4 + expm1(N c h^2 / 4) times the exact mean, 1.1e-4 here
+    c, p, h, n = 0.5, 1.0, 0.01, 10
+    rep = mcmc_toda(SeededStream(1, 0), n, p, tabulated_quadratic(c, h), sweeps=250)
+    err = c * h * h / 4.0
+    assert_chain_mean_trace_v(rep, c, p, bias=err + math.expm1(n * err)
+                              * quadratic_v_tilted_mean(c, p))
 
 
 def test_single_site_detailed_balance_and_occupancy():
