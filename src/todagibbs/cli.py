@@ -398,7 +398,7 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     p = _positive_float(cfg, "p", 1.0)
     w = _potential_from_config(cfg)
     if "free_energy" in which and w.is_tabulated:
-        raise ConfigError("the free_energy check needs a polynomial potential")
+        raise ConfigError("free_energy is too slow for a tabulated V: 32 chains eigensolve per move")
     # an auto grid is sized for the largest pressure any selected check solves at
     top = {"d_lipschitz": max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS),
            "fc_convexity": max(CONVEXITY_PRESSURES)}

@@ -140,14 +140,14 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
 
 def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
                                seed: int = 0, n_alpha: int = 8, replicas: int = 4,
-                               thin: int = 5, tol: float = 1e-8) -> dict:
-    """Thermodynamic integration against the pressure-derivative identity.
+                               tol: float = 1e-8) -> dict:
+    """Thermodynamic integration against the pressure-derivative identity, for any V.
 
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by
          ``replicas`` MCMC chains that run V at tilt alpha (Gauss-Legendre
          over the alpha nodes, stderr from replica spread); a chain's mean and
-         ESS (node_ess, min_ess) read its running (1/N) Tr V at its kept sweeps.
+         ESS (node_ess, min_ess) read its running (1/N) Tr V at every post-burn sweep.
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
          the difference of the two solves' multipliers at P.  With F the
          functional minimum and E the log-energy of mu_P, the envelope
@@ -162,17 +162,16 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
         raise ValueError("need at least 8 integration nodes")
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a spread-based stderr")
-    if not w.is_polynomial:
-        raise TypeError("thermodynamic integration needs a polynomial potential")
 
     alphas, weights = gauss_legendre_unit(n_alpha)
     if w.is_zero:
         alphas, weights = alphas[:0], weights[:0]
     # chain k * replicas + r runs V at tilt alphas[k] on stream k * replicas + r;
     # all chains advance together as one batched state, and with no node (V = 0)
-    # the runner still validates p, n, mc_sweeps and thin
+    # the runner still validates p, n and mc_sweeps
+    # thin = mc_sweeps keeps one sample per chain: the check reads only trace_v_series
     reports = _mcmc_chains([SeededStream(seed, i) for i in range(alphas.size * replicas)],
-                           n, p, w, np.repeat(alphas, replicas), mc_sweeps, thin)
+                           n, p, w, np.repeat(alphas, replicas), mc_sweeps, mc_sweeps)
     rhs = 0.0
     if not w.is_zero:
         # the V and the V = 0 solves share one grid, wide enough for both measures
@@ -181,9 +180,9 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
         lam_v, lam_0 = (solve_equilibrium(p, v, grid, tol=tol, raise_on_failure=True).lam
                         for v in (w, zero))
         rhs = lam_0 - lam_v
-    kept = [r.trace_v_series[::thin] for r in reports]
-    values = np.reshape([np.mean(s) for s in kept], (-1, replicas))
-    ess = np.reshape([s.size / integrated_autocorr_time(s) for s in kept], values.shape)
+    series = [r.trace_v_series for r in reports]
+    values = np.reshape([np.mean(s) for s in series], (-1, replicas))
+    ess = np.reshape([s.size / integrated_autocorr_time(s) for s in series], values.shape)
     rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
              for kind in ("diag", "offdiag")}
     node_means = values.mean(axis=1)

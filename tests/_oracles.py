@@ -189,3 +189,13 @@ def quadratic_v_log_moment(c, p):
 def quadratic_v_tilted_mean(c, p, alpha=1.0):
     """E_alpha[(1/N) Tr V] for V = c x^2 at tilt alpha: c (1 + 2P) / (1 + 2 alpha c)."""
     return c * (1.0 + 2.0 * p) / (1.0 + 2.0 * alpha * c)
+
+
+def quadratic_v_diag_second_moment(c, alpha=1.0):
+    """E_alpha[a_i^2] for V = c x^2 at tilt alpha: 1 / (1 + 2 alpha c)."""
+    return 1.0 / (1.0 + 2.0 * alpha * c)
+
+
+def quadratic_v_offdiag_second_moment(c, p, alpha=1.0):
+    """E_alpha[b_i^2] for V = c x^2 at tilt alpha: P / (1 + 2 alpha c), the Gamma mean."""
+    return p / (1.0 + 2.0 * alpha * c)

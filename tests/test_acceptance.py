@@ -149,7 +149,7 @@ def test_criterion_7_variance_profile():
 def test_criterion_8_free_energy_derivative():
     zero = free_energy_relation_check(1.0, W0, n=200, mc_sweeps=10, seed=1)
     rep = free_energy_relation_check(1.0, V_SMALL_QUARTIC, n=200, mc_sweeps=300,
-                                     seed=31, n_alpha=16, replicas=4, thin=5)
+                                     seed=31, n_alpha=16, replicas=4)
     tol = max(3.0 * rep["stderr"], 0.02)
     ok = (zero["lhs"] == 0.0 and zero["rhs"] == 0.0
           and rep["gap"] <= tol and rep["reliable"])

@@ -434,6 +434,9 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
                 "potential": TABULATED_QUARTIC}, {}),
     # a config that is not a JSON object
     ("solve", [{"p": 1.0}], {}),
+    # the free_energy check under a tabulated V eigensolves on every move of its chains
+    ("checks", {"checks": ["free_energy"], "n": 10, "sweeps": 10,
+                "potential": TABULATED_QUARTIC}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, out = run(tmp_path, command, cfg, **flags)

@@ -11,6 +11,7 @@ from todagibbs import (Grid, McmcReport, Potential, VarianceProfile,
                        nu_density_relation_check, solve_equilibrium)
 
 from _oracles import quadratic_v_log_moment
+from test_sampling import tabulated_quadratic
 
 W0 = Potential.zero()
 
@@ -146,7 +147,7 @@ def test_free_energy_check_solves_twice_at_its_pressure(monkeypatch):
 def test_free_energy_node_doubling_within_stderr():
     # small tilt keeps the quadrature bias far below the Monte Carlo noise
     v = Potential.polynomial([0, 0, 0, 0, 0.02])
-    common = dict(n=40, mc_sweeps=200, seed=5, replicas=3, thin=4)
+    common = dict(n=40, mc_sweeps=200, seed=5, replicas=3)
     a = free_energy_relation_check(1.0, v, n_alpha=8, **common)
     b = free_energy_relation_check(1.0, v, n_alpha=16, **common)
     assert abs(a["lhs"] - b["lhs"]) <= math.hypot(a["stderr"], b["stderr"]) * 1.5
@@ -160,10 +161,10 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
 
     def chains(streams, n, p, v, tilts, sweeps, thin):
         # the chain at tilt alpha records (1/N) Tr V = integrand(alpha) after each
-        # of 100 * thin sweeps; the constant series has tau 1, so 100 kept sweeps
-        # are 100 effective samples
+        # of 100 post-burn sweeps, whatever thin it is given; the constant series
+        # has tau 1, so 100 sweeps are 100 effective samples
         return [McmcReport([], {"diag": 0.25, "offdiag": 0.75}, 1.0, 0.0, sweeps,
-                           trace_v_series=np.full(100 * thin, integrand(alpha)))
+                           trace_v_series=np.full(100, integrand(alpha)))
                 for alpha in tilts]
 
     monkeypatch.setattr(dos, "_mcmc_chains", chains)
@@ -173,6 +174,23 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
     assert abs(rep["lhs"] + (3.0 / 13.0 + 0.5)) <= 1e-12
     assert rep["node_ess"] == [400.0] * 8
     assert rep["node_acceptance"] == [{"diag": 0.25, "offdiag": 0.75}] * 8
+
+
+def test_free_energy_check_holds_one_sample_and_reads_every_post_burn_sweep(monkeypatch):
+    # the check reads only each chain's running Tr V, so a chain keeps one
+    # sample, and a node's mean averages its chains' whole post-burn series
+    reports, real = [], dos._mcmc_chains
+
+    def recording(*args):
+        reports.extend(real(*args))
+        return reports
+
+    monkeypatch.setattr(dos, "_mcmc_chains", recording)
+    rep = free_energy_relation_check(1.0, Potential.polynomial([0, 0, 0, 0, 0.1]), n=20,
+                                     mc_sweeps=100, seed=2, replicas=2)
+    assert len(reports) == 16 and all(len(r.samples) <= 1 for r in reports)
+    series = np.reshape([r.trace_v_series for r in reports], (8, 2, 80))
+    np.testing.assert_allclose(rep["node_means"], series.mean(axis=(1, 2)), rtol=1e-14)
 
 
 def test_free_energy_check_small_pressure_default_step():
@@ -207,6 +225,23 @@ def test_free_energy_check_quadratic_v_closed_form(c, p):
     # the rhs errs only by the 2000-point solves, measured 2.4e-7 and 8.4e-7
     assert abs(rep["rhs"] - exact) <= 1e-5
     assert abs(rep["lhs"] - exact) <= 4.0 * rep["stderr"]
+
+
+@pytest.mark.parametrize("c, p", [(0.1, 1.0), (0.5, 0.5)])
+def test_free_energy_check_tabulated_quadratic_v(c, p):
+    # the same closed form through a tabulated V, at N = 8 where its per-move
+    # eigensolves stay cheap
+    exact = quadratic_v_log_moment(c, p)
+    common = dict(n=8, mc_sweeps=60, seed=3, replicas=2)
+    rep = free_energy_relation_check(p, tabulated_quadratic(c, 0.01), **common)
+    poly = free_energy_relation_check(p, Potential.polynomial([0, 0, c]), **common)
+    assert abs(rep["lhs"] - exact) <= 4.0 * rep["stderr"]
+    # the solves see the interpolant on their grid, measured within 7.5e-6
+    assert abs(rep["rhs"] - exact) <= 2e-5
+    # at N = 8 both chains visit one site at a time in site order on the same
+    # draws, and the interpolant of c x^2 at spacing h exceeds it by at most
+    # c h^2 / 4 per eigenvalue (1.25e-5 at c = 0.5); measured within 8.6e-6
+    np.testing.assert_allclose(rep["node_means"], poly["node_means"], rtol=0.0, atol=1e-4)
 
 
 # -- density representation of nu ------------------------------------------------------

@@ -17,7 +17,8 @@ from todagibbs.sampling import (_colour_classes, _draw_entries, _log_accept_a, _
                                 _mcmc_chains)
 from todagibbs.matrices import _trace_deltas
 
-from _oracles import quadratic_v_tilted_mean, sequential_metropolis_sweeps
+from _oracles import (quadratic_v_diag_second_moment, quadratic_v_offdiag_second_moment,
+                      quadratic_v_tilted_mean, sequential_metropolis_sweeps)
 
 
 def stderr(x):
@@ -281,17 +282,23 @@ def test_running_trace_v_matches_kept_samples(v, n, tilts):
         np.testing.assert_allclose(rep.trace_v_series[::3], exact, rtol=1e-12, atol=0.0)
 
 
-def assert_chain_mean_trace_v(rep, c, p, bias=0.0):
-    series = rep.trace_v_series
+def assert_chain_mean(series, exact, bias=0.0):
+    # within 4 stderr of the chain's own tau, plus a stated bias
     se = series.std() * math.sqrt(integrated_autocorr_time(series) / series.size)
-    assert abs(series.mean() - quadratic_v_tilted_mean(c, p)) <= 4.0 * se + bias
+    assert abs(series.mean() - exact) <= 4.0 * se + bias
 
 
 @pytest.mark.parametrize("c, p", [(0.5, 1.0), (0.1, 0.5)])
 def test_quadratic_v_chain_mean_trace_v_closed_form(c, p):
     # V = c x^2 at N = 200, where the entry laws give E[(1/N) Tr V] exactly
     rep = mcmc_toda(SeededStream(1, 0), 200, p, Potential.polynomial([0, 0, c]), sweeps=400)
-    assert_chain_mean_trace_v(rep, c, p)
+    assert_chain_mean(rep.trace_v_series, quadratic_v_tilted_mean(c, p))
+    # Tr V alone cannot tell a diagonal surplus from an off-diagonal deficit;
+    # each sample's mean a_i^2 and mean b_i^2 have their own exact laws
+    assert_chain_mean(np.array([np.mean(m.diag ** 2) for m in rep.samples]),
+                      quadratic_v_diag_second_moment(c))
+    assert_chain_mean(np.array([np.mean(m.offdiag ** 2) for m in rep.samples]),
+                      quadratic_v_offdiag_second_moment(c, p))
 
 
 def test_tabulated_quadratic_v_chain_mean_trace_v_closed_form():
@@ -303,8 +310,8 @@ def test_tabulated_quadratic_v_chain_mean_trace_v_closed_form():
     c, p, h, n = 0.5, 1.0, 0.01, 10
     rep = mcmc_toda(SeededStream(1, 0), n, p, tabulated_quadratic(c, h), sweeps=250)
     err = c * h * h / 4.0
-    assert_chain_mean_trace_v(rep, c, p, bias=err + math.expm1(n * err)
-                              * quadratic_v_tilted_mean(c, p))
+    exact = quadratic_v_tilted_mean(c, p)
+    assert_chain_mean(rep.trace_v_series, exact, bias=err + math.expm1(n * err) * exact)
 
 
 def test_single_site_detailed_balance_and_occupancy():
