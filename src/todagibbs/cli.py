@@ -36,9 +36,8 @@ from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
 from .matrices import EmpiricalSpectralMeasure, eigenvalues, matrix_text, trace_power
 from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
 from .potentials import NonConfiningError, Potential
-from .sampling import (TABULATED_MCMC_MAX_N, SeededStream, VarianceProfile, mcmc_toda,
-                       replica_map, sample_beta_matrix, sample_profile_matrix,
-                       sample_toda_matrix)
+from .sampling import (SeededStream, VarianceProfile, mcmc_toda, replica_map,
+                       sample_beta_matrix, sample_profile_matrix, sample_toda_matrix)
 
 
 class ConfigError(ValueError):
@@ -204,9 +203,6 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     if source == "mcmc":
         potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
-        if potential.is_tabulated and n > TABULATED_MCMC_MAX_N:
-            raise ConfigError(f"mcmc with a tabulated potential needs n <= "
-                              f"{TABULATED_MCMC_MAX_N}, got {n}")
         scales = _value(cfg, "proposal_scales", (0.5, 0.5),
                         lambda raw: tuple(float(x) for x in raw),
                         lambda t: len(t) == 2 and all(_positive(x) for x in t),
@@ -397,8 +393,6 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     _reject_unread(cfg, f"checks {', '.join(which)}", keys)
     p = _positive_float(cfg, "p", 1.0)
     w = _potential_from_config(cfg)
-    if "free_energy" in which and w.is_tabulated:
-        raise ConfigError("free_energy is too slow for a tabulated V: 32 chains eigensolve per move")
     # an auto grid is sized for the largest pressure any selected check solves at
     top = {"d_lipschitz": max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS),
            "fc_convexity": max(CONVEXITY_PRESSURES)}

@@ -184,7 +184,7 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     values = np.reshape([np.mean(s) for s in series], (-1, replicas))
     ess = np.reshape([s.size / integrated_autocorr_time(s) for s in series], values.shape)
     rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
-             for kind in ("diag", "offdiag")}
+             for kind in (reports[0].acceptance if reports else ())}
     node_means = values.mean(axis=1)
     node_se = values.std(axis=1, ddof=1) / np.sqrt(replicas)
     node_ess = [float(sum(row)) for row in ess]

@@ -91,18 +91,6 @@ class PeriodicJacobiMatrix:
             m[n - 1, 0] = self.offdiag[n - 1]
         return m
 
-    def with_entry(self, site: int, kind: str, value: float) -> "PeriodicJacobiMatrix":
-        """Copy with one symmetric entry pair replaced."""
-        if kind == "diag":
-            d = self.diag.copy()
-            d[site] = value
-            return PeriodicJacobiMatrix(d, self.offdiag, self.periodic)
-        if kind == "offdiag":
-            o = self.offdiag.copy()
-            o[site] = value
-            return PeriodicJacobiMatrix(self.diag, o, self.periodic)
-        raise ValueError(f"kind must be 'diag' or 'offdiag', got {kind!r}")
-
 
 @dataclass(frozen=True)
 class EmpiricalSpectralMeasure:

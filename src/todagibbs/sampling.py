@@ -20,7 +20,9 @@ change of Tr V(M) under a move at site i reads only entries within
 spacing than the windows need) are conditionally independent; each sweep
 visits colour classes of such sites (the chromatic Gibbs sampler of
 Gonzalez, Low, Gretton and Guestrin, AISTATS 2011) and decides a whole class
-at once from stacked local windows.
+at once from stacked local windows.  A tabulated V moves so under a polynomial
+fit to its table, corrected to V once per sweep (the surrogate transition
+method; Liu, Monte Carlo Strategies in Scientific Computing, 2001).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .potentials import Potential
 # moving any eigenvalue at solver precision.
 _CHI_FLOOR = 1e-300
 
-TABULATED_MCMC_MAX_N = 400
 # share of the sweeps that mcmc_toda spends adapting proposal scales and discards
 BURN_IN_FRACTION = 0.2
 # a burn-in of fewer sweeps measures the acceptance of the chain's first,
@@ -195,13 +196,12 @@ def _log_accept_a(a_old, a_new, dtrv):
 def _colour_classes(n: int, radius: int) -> list[np.ndarray]:
     """Sites 0..n-1 in classes whose members are >= 2 radius + 2 apart on the cycle.
 
-    The chain passes radius = deg V for polynomial V, whose move at site i
-    reads only entries within (deg V - 1) // 2 of i, so moves of one class
-    have disjoint windows and are conditionally independent.  The cycle is
-    cut into floor(n / (2 radius + 2)) near-equal blocks, each at least that
-    long, and a site's colour is its position inside its block.  With one
-    block (small n, or radius n for a move that reads the whole spectrum)
-    every class is a single site, in site order.
+    The chain passes radius = deg V_s for the polynomial V_s that moves it,
+    whose move at site i reads only entries within (deg V_s - 1) // 2 of i,
+    so moves of one class have disjoint windows and are conditionally
+    independent.  The cycle is cut into floor(n / (2 radius + 2)) near-equal
+    blocks, each at least that long, and a site's colour is its position
+    inside its block.  With one block (small n) every class is one site, in site order.
     """
     blocks = max(n // (2 * radius + 2), 1)
     starts = np.arange(blocks) * n // blocks
@@ -225,8 +225,8 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Polynomial V
     takes exact Tr V changes from dense local windows, stacked per class;
     when N < 4 deg V + 4 every class is one site, in site order.  Tabulated
-    V recomputes the full spectrum per move, so it runs one site at a time,
-    and is limited to N <= 400.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
+    V sweeps under a polynomial fit and corrects each sweep exactly, and its
+    acceptance adds the correction's.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
     """
     return _mcmc_chains([stream], n, p, v, [1.0], sweeps, thin, proposal_scales)[0]
 
@@ -251,16 +251,37 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
     )
 
 
+def _surrogate(v: Potential) -> tuple[float, ...]:
+    """Ascending coefficients of the even polynomial V_s whose deltas move a chain under V.
+
+    A polynomial V is its own V_s.  A tabulated V's is the least-squares fit
+    of its table at the nodes by the even powers up to max(deg envelope, 2),
+    which need not confine: the chain corrects to V exactly.
+    """
+    if v.is_polynomial:
+        return v.coeffs
+    xs, scale = np.asarray(v.table_x), max(abs(v.table_x[0]), abs(v.table_x[-1]))
+    powers = np.arange(0, max(len(v.envelope) - 1, 2) + 1, 2)
+    fit = np.linalg.lstsq((xs[:, None] / scale) ** powers, v.table_v, rcond=None)[0]
+    coeffs = np.zeros(powers[-1] + 1)
+    coeffs[powers] = fit / scale ** powers
+    return tuple(coeffs)
+
+
 def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                  thin: int = 1, proposal_scales=(0.5, 0.5)) -> list[McmcReport]:
     """``mcmc_toda`` chains under one V, chain c at tilt ``tilts[c]``, as one (chains, N) state.
 
-    Chain c samples the Toda ensemble under the potential tilts[c] * V: each
-    move's Tr V change is computed once for V and multiplied by the chain's
-    tilt in its acceptance ratio, so every chain shares V's colour classes.
-    Chain c draws from ``streams[c]`` what a batch of one on that stream
-    draws, in the same order, and at tilt 1 matches
-    ``mcmc_toda(streams[c], n, p, v, ...)`` bit for bit.
+    Chain c samples the Toda ensemble under tilts[c] * V.  Every move takes
+    its Tr V change from the polynomial V_s = ``_surrogate(v)``, times the
+    chain's tilt, so all chains share V_s's colour classes.  A polynomial V
+    is its own V_s, and its sweep is one pass over the classes.  A tabulated
+    V's sweep is that pass and its exact reverse, a palindrome at frozen
+    scales and so reversible for the V_s law, then per chain one correction
+    accepted with probability min(1, exp(-tilt [dTr V - dTr V_s])).  Chain c
+    draws from ``streams[c]`` what a batch of one on that stream draws, in
+    the same order, and at tilt 1 matches ``mcmc_toda(streams[c], n, p, v, ...)``
+    bit for bit.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -275,10 +296,6 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     tilts = np.asarray(tilts, dtype=float)
     if tilts.shape != (len(streams),) or not np.all((tilts >= 0) & (tilts < math.inf)):
         raise ValueError("need one finite, nonnegative tilt per stream")
-    if v.is_tabulated and n > TABULATED_MCMC_MAX_N:
-        raise ValueError(
-            f"tabulated potentials recompute full spectra per move; N <= {TABULATED_MCMC_MAX_N}"
-        )
 
     rngs = [stream.generator() for stream in streams]
     burn = int(BURN_IN_FRACTION * sweeps)
@@ -288,68 +305,79 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     chains = len(rngs)
     diag, off = (np.array(x) for x in zip(*(_draw_entries(rng, n, np.full(n, p))
                                             for rng in rngs)))
-    # a tabulated V's every move reads the whole spectrum: singleton classes
-    classes = _colour_classes(n, v.degree if v.is_polynomial else n)
-    # untilted Tr V(M) of each chain's current state, advanced by the accepted deltas
+    coeffs = _surrogate(v)
+    # Tr V(M) of each chain's current state, untilted; the moves advance it by
+    # their V_s deltas, which a tabulated V's correction replaces by V's
     trv = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
                     for d, o in zip(diag, off)])
-    if v.is_polynomial:
-        def delta_tr(sites, kind, new_values):
-            return _trace_deltas(diag, off, True, sites, kind, new_values, v.coeffs)
-    else:
-        def delta_tr(sites, kind, new_values):
-            return np.array([[n * trace_potential(PeriodicJacobiMatrix(d, o).with_entry(
-                int(sites[0]), kind, float(x[0])), v) - t]
-                for d, o, x, t in zip(diag, off, new_values, trv)])
 
     # diag then offdiag, each a (chains, 1) column like the tilts
     scales = np.ones((2, chains, 1)) * np.reshape(proposal_scales, (2, 1, 1))
     tilts = tilts[:, None]
-    accepted, proposed = np.zeros((2, chains), dtype=int), 0
+    # diag, offdiag and, for a tabulated V, correction acceptances since the last adaptation
+    accepted, swept = np.zeros((2 + v.is_tabulated, chains), dtype=int), 0
     # every 25 sweeps, or once at the end of a shorter burn-in
     adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
 
     # the state and the draws are indexed flat: a class's sites in every chain
     flat_diag, flat_off = diag.reshape(-1), off.reshape(-1)
-    flat_classes = [(sites, sites + n * np.arange(chains)[:, None]) for sites in classes]
+    steps = [(sites, sites + n * np.arange(chains)[:, None], kind)
+             for sites in _colour_classes(n, len(coeffs) - 1) for kind in ("diag", "offdiag")]
+    passes = [steps] if v.is_polynomial else [steps, steps[::-1]]
+    moves = np.array([n * len(passes)] * 2 + [1] * v.is_tabulated)[:, None]
     moved = np.zeros((2, chains * n), dtype=bool)
     samples, t2_series, trv_series = [[] for _ in rngs], [], []
 
     for sweep in range(sweeps):
-        xi_a, log_u_a, xi_b, log_u_b = (np.concatenate(x) for x in zip(*(
-            (rng.standard_normal(n), np.log(rng.random(n)),
-             rng.standard_normal(n), np.log(rng.random(n))) for rng in rngs)))
-        for sites, at in flat_classes:
-            # diagonal moves: Gaussian random walk
-            a_old = flat_diag[at]
-            a_new = a_old + scales[0] * xi_a[at]
-            dtrv = delta_tr(sites, "diag", a_new)
-            ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
-            flat_diag[at[ok]] = a_new[ok]
-            moved[0, at] = ok
-            trv += np.add.reduce(dtrv, axis=1, where=ok)
-            # off-diagonal moves: multiplicative log-normal random walk; a
-            # proposal that overflows or is not positive is rejected
-            b_old = flat_off[at]
-            with np.errstate(over="ignore", invalid="ignore"):
-                b_new = b_old * np.exp(scales[1] * xi_b[at])
-                valid = (b_new > 0.0) & np.isfinite(b_new)
-                b_new = np.where(valid, b_new, b_old)
-                dtrv = delta_tr(sites, "offdiag", b_new)
-                ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
-            flat_off[at[ok]] = b_new[ok]
-            moved[1, at] = ok
-            trv += np.add.reduce(dtrv, axis=1, where=ok)
-        # the classes partition the sites: each move was recorded once
-        accepted += moved.reshape(2, chains, n).sum(axis=2)
-        proposed += n
+        # per chain: each pass's proposals and uniforms by site, then the correction's
+        draws = [np.concatenate(x) for x in zip(*(
+            [x for _ in passes for x in (rng.standard_normal(n), np.log(rng.random(n)),
+                                         rng.standard_normal(n), np.log(rng.random(n)))]
+            + ([np.log(rng.random(1))] if v.is_tabulated else []) for rng in rngs))]
+        if v.is_tabulated:
+            start = diag.copy(), off.copy(), trv.copy()
+        for k, pass_steps in enumerate(passes):
+            xi_a, log_u_a, xi_b, log_u_b = draws[4 * k:4 * k + 4]
+            for sites, at, kind in pass_steps:
+                if kind == "diag":
+                    # Gaussian random walk
+                    a_old = flat_diag[at]
+                    a_new = a_old + scales[0] * xi_a[at]
+                    dtrv = _trace_deltas(diag, off, True, sites, kind, a_new, coeffs)
+                    ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
+                    flat_diag[at[ok]] = a_new[ok]
+                    moved[0, at] = ok
+                else:
+                    # multiplicative log-normal random walk; a proposal that
+                    # overflows or is not positive is rejected
+                    b_old = flat_off[at]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        b_new = b_old * np.exp(scales[1] * xi_b[at])
+                        valid = (b_new > 0.0) & np.isfinite(b_new)
+                        b_new = np.where(valid, b_new, b_old)
+                        dtrv = _trace_deltas(diag, off, True, sites, kind, b_new, coeffs)
+                        ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
+                    flat_off[at[ok]] = b_new[ok]
+                    moved[1, at] = ok
+                trv += np.add.reduce(dtrv, axis=1, where=ok)
+            # the classes partition the sites: each move was recorded once
+            accepted[:2] += moved.reshape(2, chains, n).sum(axis=2)
+        if v.is_tabulated:
+            # trv has moved from start[2] by the sweep's dTr V_s
+            exact = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
+                              for d, o in zip(diag, off)])
+            ok = draws[-1] < -tilts[:, 0] * (exact - trv)
+            diag[~ok], off[~ok] = start[0][~ok], start[1][~ok]
+            trv = np.where(ok, exact, start[2])
+            accepted[2] += ok
+        swept += 1
 
         if sweep < burn:
             if adapt_interval and (sweep + 1) % adapt_interval == 0:
-                rate = (accepted / max(proposed, 1))[..., None]
+                rate = (accepted[:2] / (moves[:2] * swept))[..., None]
                 scales = np.where(rate > 0.40, np.minimum(scales * 1.25, 10.0),
                                   np.where(rate < 0.30, np.maximum(scales / 1.25, 1e-3), scales))
-                accepted[:], proposed = 0, 0
+                accepted[:], swept = 0, 0
             continue
 
         t2_series.append((np.sum(diag ** 2, axis=1) + 2.0 * np.sum(off ** 2, axis=1)) / n)
@@ -358,11 +386,12 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             for chain_samples, d, o in zip(samples, diag, off):
                 chain_samples.append(PeriodicJacobiMatrix(d, o, periodic=True))
 
-    rates = accepted / max(proposed, 1)
+    rates = accepted / (moves * max(swept, 1))
     series, v_series = (np.ascontiguousarray(np.transpose(x)) for x in (t2_series, trv_series))
     return [McmcReport(
         samples=kept,
-        acceptance={"diag": float(rates[0, c]), "offdiag": float(rates[1, c])},
+        acceptance={kind: float(rate) for kind, rate in
+                    zip(("diag", "offdiag", "correction"), rates[:, c])},
         autocorr_time=integrated_autocorr_time(series[c]),
         ess=len(kept) / integrated_autocorr_time(series[c, ::thin]),
         sweeps=sweeps,

@@ -7,7 +7,8 @@ counted directly from the atoms), characteristic-function quadrature for the
 log-energy distance, brute-force quadrature for the two-point
 beta-ensemble moment, a one-move-at-a-time Metropolis sweep with Tr V
 from the dense matrix, the untruncated Gaussian kernel sum, and closed forms
-for a quadratic V.  Nothing here imports from todagibbs.
+for a quadratic V; ``with_entry`` copies a matrix with one entry changed.
+Nothing here imports from todagibbs.
 """
 
 import math
@@ -16,6 +17,13 @@ import numpy as np
 from numpy.polynomial import Polynomial as Poly
 from scipy.integrate import nquad
 from scipy.optimize import brentq, linprog
+
+
+def with_entry(m, site, kind, value):
+    """Copy of the matrix m with its diagonal or off-diagonal entry at ``site`` set to value."""
+    diag, off = m.diag.copy(), m.offdiag.copy()
+    {"diag": diag, "offdiag": off}[kind][site] = value
+    return type(m)(diag, off, m.periodic)
 
 
 def char_poly_eigenvalues(m):

@@ -21,7 +21,8 @@ from todagibbs import (EmpiricalSpectralMeasure, Grid, Potential,
                        solve_equilibrium, trace_power)
 from todagibbs.equilibrium import GridDensity
 
-from _oracles import bathtub_lp, beta_two_point_trace_moment, fourier_log_energy
+from _oracles import (bathtub_lp, beta_two_point_trace_moment, fourier_log_energy,
+                      with_entry)
 
 W0 = Potential.zero()
 V_QUARTIC = Potential.polynomial([0, 0, 0, 0, 1.0])
@@ -186,8 +187,7 @@ def test_criterion_9_metric_oracles():
         for _ in range(k):
             kind = "diag" if trng.random() < 0.5 else "offdiag"
             site = int(trng.integers(0, n))
-            changed = changed.with_entry(site, kind,
-                                         float(trng.standard_normal() ** 2 + 0.1))
+            changed = with_entry(changed, site, kind, float(trng.standard_normal() ** 2 + 0.1))
         d = bl_bv_distance(eigenvalues(m), eigenvalues(changed))
         rank_ok &= d <= 2.0 * k / n + 1e-8
 

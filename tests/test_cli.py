@@ -255,6 +255,23 @@ def test_mcmc_tabulated_spectrum_leaving_the_table_completes(tmp_path, seed):
     assert read_manifest(out)["status"] == "complete"
 
 
+def test_mcmc_tabulated_at_n_500_reports_its_correction(tmp_path):
+    # the chain moves by the table's polynomial surrogate, so no n is too large
+    rc, out = run(tmp_path, "sample", {"source": "mcmc", "n": 500, "p": 1.0, "sweeps": 10,
+                                       "potential": TABULATED_QUARTIC})
+    assert rc == 0 and read_manifest(out)["status"] == "complete"
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert set(summary["acceptance"]) == {"diag", "offdiag", "correction"}
+
+
+def test_checks_free_energy_passes_with_a_tabulated_v(tmp_path):
+    rc, out = run(tmp_path, "checks", {**FREE_ENERGY_CHECK, "potential": TABULATED_QUARTIC})
+    assert rc == 0
+    rep = json.load(open(os.path.join(out, "checks.json")))["free_energy"]
+    assert rep["pass"]
+    assert all(0.0 < rates["correction"] <= 1.0 for rates in rep["node_acceptance"])
+
+
 @pytest.mark.parametrize("potential", [
     # a table on [-2, 2] whose auto grid at P = 1 reaches |x| = 2.47
     {"type": "tabulated", "x": [-2.0, 0.0, 2.0], "v": [16.0, 0.0, 16.0],
@@ -429,13 +446,13 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     ("checks", {"checks": ["fc_convexity"], "grid": {"m": 100}, "n": 30, "sweeps": 12,
                 "mixture_tol": 0.5, "n_nodes": 9}, {}),
     ("checks", {"checks": ["beta_mixture"], "grid": {"m": 100}, "mixture_tol": 0.5}, {}),
-    # a tabulated V recomputes a spectrum per move, up to n = 400
-    ("sample", {"source": "mcmc", "n": 401, "p": 1.0, "sweeps": 10,
+    # a tabulated V runs at any n, but not for zero sweeps
+    ("sample", {"source": "mcmc", "n": 500, "p": 1.0, "sweeps": 0,
                 "potential": TABULATED_QUARTIC}, {}),
     # a config that is not a JSON object
     ("solve", [{"p": 1.0}], {}),
-    # the free_energy check under a tabulated V eigensolves on every move of its chains
-    ("checks", {"checks": ["free_energy"], "n": 10, "sweeps": 10,
+    # the free_energy check takes a tabulated V, but no periodic matrix has n = 2
+    ("checks", {"checks": ["free_energy"], "n": 2, "sweeps": 10,
                 "potential": TABULATED_QUARTIC}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):

@@ -229,19 +229,16 @@ def test_free_energy_check_quadratic_v_closed_form(c, p):
 
 @pytest.mark.parametrize("c, p", [(0.1, 1.0), (0.5, 0.5)])
 def test_free_energy_check_tabulated_quadratic_v(c, p):
-    # the same closed form through a tabulated V, at N = 8 where its per-move
-    # eigensolves stay cheap
+    # the same closed form through a tabulated V
     exact = quadratic_v_log_moment(c, p)
-    common = dict(n=8, mc_sweeps=60, seed=3, replicas=2)
-    rep = free_energy_relation_check(p, tabulated_quadratic(c, 0.01), **common)
-    poly = free_energy_relation_check(p, Potential.polynomial([0, 0, c]), **common)
+    rep = free_energy_relation_check(p, tabulated_quadratic(c, 0.01), n=8, mc_sweeps=60,
+                                     seed=3, replicas=2)
     assert abs(rep["lhs"] - exact) <= 4.0 * rep["stderr"]
     # the solves see the interpolant on their grid, measured within 7.5e-6
     assert abs(rep["rhs"] - exact) <= 2e-5
-    # at N = 8 both chains visit one site at a time in site order on the same
-    # draws, and the interpolant of c x^2 at spacing h exceeds it by at most
-    # c h^2 / 4 per eigenvalue (1.25e-5 at c = 0.5); measured within 8.6e-6
-    np.testing.assert_allclose(rep["node_means"], poly["node_means"], rtol=0.0, atol=1e-4)
+    # the surrogate fit recovers c x^2, so a sweep's correction sees only the
+    # interpolation error, at most N c h^2 / 4 = 1e-4 in Tr V: it nearly always accepts
+    assert all(rates["correction"] >= 0.99 for rates in rep["node_acceptance"])
 
 
 # -- density representation of nu ------------------------------------------------------

@@ -22,7 +22,7 @@ from todagibbs import matrices
 from todagibbs.matrices import _folded_band, _trace_deltas, matrix_text
 from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
 
-from _oracles import char_poly_eigenvalues
+from _oracles import char_poly_eigenvalues, with_entry
 
 V4 = Potential.polynomial([0, 0, 0, 0, 1.0])
 
@@ -274,7 +274,7 @@ def test_local_delta_matches_full_recompute(periodic):
             new = float(rng.standard_normal() ** 2 + 0.05)
             d_local = _trace_deltas(m.diag, m.offdiag, periodic, [site], kind, [new],
                                     V4.coeffs)[0]
-            m2 = m.with_entry(site, kind, new)
+            m2 = with_entry(m, site, kind, new)
             d_full = n * (trace_potential(m2, V4) - trace_potential(m, V4))
             assert d_local == pytest.approx(d_full, abs=1e-10 * (1 + abs(d_full)))
 
@@ -302,7 +302,7 @@ def test_stacked_deltas_match_dense_difference(degree, periodic):
             sites = np.arange(size) if n <= 41 else np.array([0, 1, 57, size - 2, size - 1])
             new = rng.standard_normal(sites.size) ** 2 + 0.05
             got = _trace_deltas(m.diag, m.offdiag, periodic, sites, kind, new, v.coeffs)
-            want = [dense_trace_v(m.with_entry(s, kind, x), coeffs) - base
+            want = [dense_trace_v(with_entry(m, s, kind, x), coeffs) - base
                     for s, x in zip(sites, new)]
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(base))
 
@@ -314,7 +314,7 @@ def test_local_delta_degree_fallback():
     m = random_matrix(rng, 7)
     v8 = Potential.polynomial([0] * 8 + [1.0])
     d_local = _trace_deltas(m.diag, m.offdiag, m.periodic, [2], "diag", [0.4], v8.coeffs)[0]
-    m2 = m.with_entry(2, "diag", 0.4)
+    m2 = with_entry(m, 2, "diag", 0.4)
     d_full = np.sum(v8(eigenvalues(m2).values)) - np.sum(v8(eigenvalues(m).values))
     assert d_local == pytest.approx(d_full, rel=1e-9)
 
@@ -329,7 +329,7 @@ def test_local_delta_sweep_composes_to_global_difference():
         for kind in ("diag", "offdiag"):
             new = float(rng.standard_normal() ** 2 + 0.05)
             total += _trace_deltas(m.diag, m.offdiag, True, [site], kind, [new], V4.coeffs)[0]
-            m = m.with_entry(site, kind, new)
+            m = with_entry(m, site, kind, new)
     global_diff = n * (trace_potential(m, V4) - trace_potential(start, V4))
     assert total == pytest.approx(global_diff, abs=1e-8)
 
@@ -361,7 +361,7 @@ def test_weyl_rank_bound(seed):
     for _ in range(k):
         kind = "diag" if rng.random() < 0.5 else "offdiag"
         site = int(rng.integers(0, n))
-        changed = changed.with_entry(site, kind, float(rng.standard_normal() ** 2 + 0.1))
+        changed = with_entry(changed, site, kind, float(rng.standard_normal() ** 2 + 0.1))
     d = bl_bv_distance(eigenvalues(m), eigenvalues(changed))
     assert d <= 2.0 * k / n + 1e-8
 

@@ -13,12 +13,13 @@ from todagibbs import (Grid, NonConfiningError, Potential,
                        integrated_autocorr_time, mcmc_toda, replica_map,
                        sample_beta_matrix, sample_profile_matrix,
                        sample_toda_matrix, trace_potential, trace_power)
+from todagibbs import sampling
 from todagibbs.sampling import (_colour_classes, _draw_entries, _log_accept_a, _log_accept_b,
                                 _mcmc_chains)
 from todagibbs.matrices import _trace_deltas
 
 from _oracles import (quadratic_v_diag_second_moment, quadratic_v_offdiag_second_moment,
-                      quadratic_v_tilted_mean, sequential_metropolis_sweeps)
+                      quadratic_v_tilted_mean, sequential_metropolis_sweeps, with_entry)
 
 
 def stderr(x):
@@ -212,10 +213,6 @@ def test_identity_proposal_accepts_surely():
 def test_mcmc_validation():
     with pytest.raises(ValueError):
         mcmc_toda(SeededStream(0, 0), 300, 1.0, Potential.zero(), sweeps=0)
-    xs = np.linspace(-30, 30, 601)
-    tab = Potential.tabulated(xs, 0.01 * xs ** 4, envelope_coeffs=[0, 0, 0, 0, 0.01])
-    with pytest.raises(ValueError):
-        mcmc_toda(SeededStream(0, 0), 500, 1.0, tab, sweeps=10)
 
 
 def test_mcmc_nonconfining_tabulated_rejected():
@@ -301,17 +298,73 @@ def test_quadratic_v_chain_mean_trace_v_closed_form(c, p):
                       quadratic_v_offdiag_second_moment(c, p))
 
 
+def interpolation_bias(c, h, n):
+    # the interpolant of c x^2 at spacing h exceeds it by at most c h^2 / 4, so
+    # (1/N) Tr V does too, and the law's density moves by a factor within
+    # exp(+-N c h^2 / 4): a nonnegative mean moves by at most expm1(N c h^2 / 4) of itself
+    return c * h * h / 4.0, math.expm1(n * c * h * h / 4.0)
+
+
 def test_tabulated_quadratic_v_chain_mean_trace_v_closed_form():
-    # the same law through the tabulated path, at N = 10 where its per-move
-    # eigensolves stay cheap.  The interpolant of c x^2 at spacing h exceeds it
-    # by at most c h^2 / 4, so (1/N) Tr V does too, and the law's density moves
-    # by a factor within exp(+-N c h^2 / 4): the mean is biased by at most
-    # c h^2 / 4 + expm1(N c h^2 / 4) times the exact mean, 1.1e-4 here
-    c, p, h, n = 0.5, 1.0, 0.01, 10
+    # the same law through the tabulated path; the mean's bias bound, 1.9e-3,
+    # is below its stderr, 4e-3
+    c, p, h, n = 0.5, 1.0, 0.01, 200
     rep = mcmc_toda(SeededStream(1, 0), n, p, tabulated_quadratic(c, h), sweeps=250)
-    err = c * h * h / 4.0
+    err, rel = interpolation_bias(c, h, n)
     exact = quadratic_v_tilted_mean(c, p)
-    assert_chain_mean(rep.trace_v_series, exact, bias=err + math.expm1(n * err) * exact)
+    assert_chain_mean(rep.trace_v_series, exact, bias=err + rel * exact)
+
+
+@pytest.mark.parametrize("factor, n, sweeps", [(0.5, 40, 400), (0.8, 40, 400), (0.8, 200, 250)])
+def test_tabulated_chain_corrects_a_wrong_surrogate_to_the_closed_form(monkeypatch, factor, n,
+                                                                        sweeps):
+    # sweeps under factor * c x^2 sample a wider law than c x^2; only the
+    # per-sweep correction can bring the chain to the closed forms
+    c, p, h = 0.5, 1.0, 0.01
+    monkeypatch.setattr(sampling, "_surrogate", lambda v: (0.0, 0.0, factor * c))
+    rep = mcmc_toda(SeededStream(1, 0), n, p, tabulated_quadratic(c, h), sweeps=sweeps)
+    assert 0.05 < rep.acceptance["correction"] < 0.95
+    err, rel = interpolation_bias(c, h, n)
+    exact = quadratic_v_tilted_mean(c, p)
+    assert_chain_mean(rep.trace_v_series, exact, bias=err + rel * exact)
+    for entries, want in (([m.diag for m in rep.samples], quadratic_v_diag_second_moment(c)),
+                          ([m.offdiag for m in rep.samples],
+                           quadratic_v_offdiag_second_moment(c, p))):
+        assert_chain_mean(np.mean(np.square(entries), axis=1), want, bias=rel * want)
+
+
+@pytest.mark.parametrize("v, passes", [(Potential.polynomial([0, 0, 0.5]), 1),
+                                       (tabulated_quadratic(0.5, 0.1), 2)],
+                         ids=["polynomial", "tabulated"])
+def test_sweep_is_a_palindrome_for_a_tabulated_v(monkeypatch, v, passes):
+    # the surrogate sweeps are reversible only as a palindrome: the forward
+    # pass, then its reverse; a polynomial sweep is the forward pass alone
+    steps = []
+
+    def recording(diag, off, periodic, sites, kind, new_values, coeffs):
+        steps.append((tuple(sites), kind))
+        return _trace_deltas(diag, off, periodic, sites, kind, new_values, coeffs)
+
+    monkeypatch.setattr(sampling, "_trace_deltas", recording)
+    mcmc_toda(SeededStream(2, 0), 40, 1.0, v, sweeps=1)
+    forward = [(tuple(sites), kind) for sites in _colour_classes(40, 2)
+               for kind in ("diag", "offdiag")]
+    assert len(forward) > 2 and steps == (forward + forward[::-1])[:len(forward) * passes]
+
+
+@pytest.mark.parametrize("xs, envelope", [
+    (np.linspace(-8, 8, 161), [0, 0, 0.3]),
+    (np.arange(-4.0, 5.0), [0, 0, 0, 0, 0.05]),
+    (np.linspace(-3, 3, 61), [0, 0, -5.0, 0, 0.001]),
+    # three even powers, but x = -2 and x = 2 give one equation: rank 2
+    (np.array([-2.0, 0.0, 2.0]), [0, 0, 0, 0, 1.0]),
+], ids=["quadratic", "quartic", "double_well", "three_nodes"])
+def test_surrogate_fits_an_even_polynomial_table_at_its_nodes(xs, envelope):
+    vs = np.polynomial.polynomial.polyval(xs, envelope)
+    coeffs = sampling._surrogate(Potential.tabulated(xs, vs, envelope_coeffs=envelope))
+    assert len(coeffs) == len(envelope) and not any(coeffs[1::2])
+    np.testing.assert_allclose(np.polynomial.polynomial.polyval(xs, coeffs), vs,
+                               rtol=0, atol=1e-9)
 
 
 def test_single_site_detailed_balance_and_occupancy():
@@ -324,7 +377,7 @@ def test_single_site_detailed_balance_and_occupancy():
     base = sample_toda_matrix(SeededStream(15, 0), 3, p)
 
     def log_weight(b):
-        m = base.with_entry(0, "offdiag", b)
+        m = with_entry(base, 0, "offdiag", b)
         trv = 3.0 * np.mean(v(eigenvalues(m).values))
         return (2 * p - 1) * math.log(b) - b * b - trv
 
@@ -346,7 +399,7 @@ def test_single_site_detailed_balance_and_occupancy():
     prev_bin = np.searchsorted(edges, b) - 1
     for t in range(steps):
         b_new = b * math.exp(scale * xi[t])
-        m = base.with_entry(0, "offdiag", b)
+        m = with_entry(base, 0, "offdiag", b)
         dtrv = _trace_deltas(m.diag, m.offdiag, True, [0], "offdiag", [b_new], v.coeffs)[0]
         if logu[t] < _log_accept_b(b, b_new, p, dtrv):
             b = b_new
