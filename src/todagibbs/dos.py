@@ -146,8 +146,9 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by
          ``replicas`` MCMC chains that run V at tilt alpha (Gauss-Legendre
-         over the alpha nodes, stderr from replica spread); a chain's mean and
-         ESS (node_ess, min_ess) read its running (1/N) Tr V at every post-burn sweep.
+         in s with alpha = s^2, as E_alpha is not analytic at alpha = 0, stderr
+         from replica spread); a chain's mean and ESS (node_ess, min_ess) read
+         its running (1/N) Tr V at every post-burn sweep.
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
          the difference of the two solves' multipliers at P.  With F the
          functional minimum and E the log-energy of mu_P, the envelope
@@ -163,7 +164,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a spread-based stderr")
 
-    alphas, weights = gauss_legendre_unit(n_alpha)
+    s_nodes, s_weights = gauss_legendre_unit(n_alpha)
+    alphas, weights = s_nodes ** 2, 2.0 * s_nodes * s_weights
     if w.is_zero:
         alphas, weights = alphas[:0], weights[:0]
     # chain k * replicas + r runs V at tilt alphas[k] on stream k * replicas + r;

@@ -13,12 +13,10 @@ length-k walks at j, and such a walk stays within k // 2 sites of j, so
 every trace functional is read off one routine: ``_windows`` stacks the
 small dense windows of M around many sites, and ``_poly_diagonals`` takes
 the diagonal of V(W) for each.  ``trace_power`` and ``trace_potential`` for
-polynomial V sum the centre entry V(M)_jj of the window around each j.  A
-closed walk that uses one entry goes out and back, so it stays within
-(k - 1) // 2 sites of it, and ``_trace_deltas`` gets the change of Tr V(M)
-under one symmetric entry-pair update from the old and the new window
-around the modified site, for a whole colour class of the Metropolis
-chain at once.
+polynomial V sum the centre entry V(M)_jj of the window around each j, and
+``_trace_deltas`` gets the change of Tr V(M) under one entry-pair update from
+the windows of radius ``_delta_radius`` around the modified sites of a whole
+colour class of the Metropolis chain at once.
 """
 
 from __future__ import annotations
@@ -275,21 +273,26 @@ def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
     return float(np.mean(v(eigenvalues(m).values)))
 
 
+def _delta_radius(degree: int) -> int:
+    """r such that a closed walk of length <= degree through one entry stays within r sites of it.
+
+    It spends one step on a diagonal entry, or two crossing a bond and back, and
+    retraces every other step: r = (degree - 1) // 2 beyond either end of a bond.
+    ``_trace_deltas`` reads that window; ``sampling._colour_classes`` spaces moves r + 1 apart.
+    """
+    return max(degree - 1, 0) // 2
+
+
 def _trace_deltas(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,
                   kind: str, new_values: np.ndarray, coeffs) -> np.ndarray:
     """Tr V(M') - Tr V(M) per site for polynomial V, M' replacing that site's entry pair.
 
     V has ``coeffs`` as in ``_poly_diagonals``; leading axes of ``diag``,
     ``off`` and ``new_values`` hold one matrix each.  Each move is taken
-    alone against M.  Only the closed walks of length at most d = deg V that
-    use the changed entry see the change.  Such a walk
-    spends one step on a diagonal entry, or two on crossing a bond there and
-    back, and must return along every other step it takes, so it stays
-    within r = (d - 1) // 2 sites of the entry (beyond either end of a
-    bond; r = 0 for constant V): the delta is exact from the window
-    (``_windows``) of that radius, old and new traced together.
+    alone against M, exactly, from the old and the new window (``_windows``)
+    of radius ``_delta_radius(deg V)`` traced together.
     """
-    r = max(len(coeffs) - 2, 0) // 2
+    r = _delta_radius(len(coeffs) - 1)
     sites = np.asarray(sites)
     w, pos = _windows(diag, off, periodic, sites, r, 2 * r + (1 if kind == "diag" else 2))
     w = np.array((w, w))

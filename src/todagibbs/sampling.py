@@ -16,8 +16,8 @@ in the (a_i, b_i) coordinates: Gaussian random walk on diagonal entries,
 multiplicative log-normal walk on off-diagonal entries (positivity preserved,
 proposal Jacobian included in the ratio).  For polynomial V of degree d the
 change of Tr V(M) under a move at site i reads only entries within
-(d - 1) // 2 sites of i, so sites at least 2d + 2 apart on the cycle (a wider
-spacing than the windows need) are conditionally independent; each sweep
+r = (d - 1) // 2 sites of i (``matrices._delta_radius``), so moves r + 1 or
+more sites apart on the cycle are conditionally independent; each sweep
 visits colour classes of such sites (the chromatic Gibbs sampler of
 Gonzalez, Low, Gretton and Guestrin, AISTATS 2011) and decides a whole class
 at once from stacked local windows.  A tabulated V moves so under a polynomial
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import PeriodicJacobiMatrix, _trace_deltas, trace_potential
+from .matrices import PeriodicJacobiMatrix, _delta_radius, _trace_deltas, trace_potential
 from .potentials import Potential
 
 # Underflow guard: chi draws with tiny degrees of freedom concentrate below
@@ -193,17 +193,16 @@ def _log_accept_a(a_old, a_new, dtrv):
     return -0.5 * (a_new * a_new - a_old * a_old) - dtrv
 
 
-def _colour_classes(n: int, radius: int) -> list[np.ndarray]:
-    """Sites 0..n-1 in classes whose members are >= 2 radius + 2 apart on the cycle.
+def _colour_classes(n: int, degree: int) -> list[np.ndarray]:
+    """Sites 0..n-1 in classes of moves, under a V_s of this degree, that read no other's entry.
 
-    The chain passes radius = deg V_s for the polynomial V_s that moves it,
-    whose move at site i reads only entries within (deg V_s - 1) // 2 of i,
-    so moves of one class have disjoint windows and are conditionally
-    independent.  The cycle is cut into floor(n / (2 radius + 2)) near-equal
-    blocks, each at least that long, and a site's colour is its position
-    inside its block.  With one block (small n) every class is one site, in site order.
+    A move reads entries within r = ``_delta_radius(degree)`` sites of its own,
+    so a site's colour is its position in one of floor(n / (r + 1)) near-equal
+    blocks.  Only at n <= 2 (r + 1), which is n <= degree for the even V_s, can a
+    walk of length <= degree wrap the cycle: then every class is one site, in order.
     """
-    blocks = max(n // (2 * radius + 2), 1)
+    r = _delta_radius(degree)
+    blocks = n // (r + 1) if n > 2 * (r + 1) else 1
     starts = np.arange(blocks) * n // blocks
     sizes = np.diff(starts, append=n)
     return [starts[sizes > c] + c for c in range(int(sizes.max()))]
@@ -215,17 +214,16 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
 
     For V = 0 the invariant law factorizes over entries and each sweep draws
     the state exactly (acceptance 1).  Otherwise a Metropolis-within-Gibbs
-    sweep updates every diagonal and off-diagonal entry once, one colour
-    class at a time (``_colour_classes``): the diagonal moves of the class,
-    then its off-diagonal moves, each decided together.  Each sweep draws its
+    sweep moves one colour class at a time (``_colour_classes``: sites the
+    delta radius of deg V_s plus one apart, one site a class when N <= deg V_s),
+    its diagonal and then its off-diagonal entries, each kind decided together
+    from the exact Tr V changes of stacked local windows.  Each sweep draws its
     proposals and uniforms for all N sites up front, indexed by site.
     Proposal scales adapt toward 30-40% acceptance during the burn-in (the
     first BURN_IN_FRACTION of the sweeps, which yields no samples), every 25
     sweeps or once at its end if it is shorter, then freeze; a burn-in of
-    fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Polynomial V
-    takes exact Tr V changes from dense local windows, stacked per class;
-    when N < 4 deg V + 4 every class is one site, in site order.  Tabulated
-    V sweeps under a polynomial fit and corrects each sweep exactly, and its
+    fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Tabulated V
+    sweeps under a polynomial fit and corrects each sweep exactly, and its
     acceptance adds the correction's.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
     """
     return _mcmc_chains([stream], n, p, v, [1.0], sweeps, thin, proposal_scales)[0]
@@ -325,7 +323,6 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
              for sites in _colour_classes(n, len(coeffs) - 1) for kind in ("diag", "offdiag")]
     passes = [steps] if v.is_polynomial else [steps, steps[::-1]]
     moves = np.array([n * len(passes)] * 2 + [1] * v.is_tabulated)[:, None]
-    moved = np.zeros((2, chains * n), dtype=bool)
     samples, t2_series, trv_series = [[] for _ in rngs], [], []
 
     for sweep in range(sweeps):
@@ -346,7 +343,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                     dtrv = _trace_deltas(diag, off, True, sites, kind, a_new, coeffs)
                     ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
                     flat_diag[at[ok]] = a_new[ok]
-                    moved[0, at] = ok
+                    accepted[0] += ok.sum(axis=1)
                 else:
                     # multiplicative log-normal random walk; a proposal that
                     # overflows or is not positive is rejected
@@ -358,10 +355,8 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                         dtrv = _trace_deltas(diag, off, True, sites, kind, b_new, coeffs)
                         ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
                     flat_off[at[ok]] = b_new[ok]
-                    moved[1, at] = ok
+                    accepted[1] += ok.sum(axis=1)
                 trv += np.add.reduce(dtrv, axis=1, where=ok)
-            # the classes partition the sites: each move was recorded once
-            accepted[:2] += moved.reshape(2, chains, n).sum(axis=2)
         if v.is_tabulated:
             # trv has moved from start[2] by the sweep's dTr V_s
             exact = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)

@@ -20,7 +20,8 @@ from todagibbs import (EmpiricalSpectralMeasure, InvalidMatrixError,
                        eigenvalues, load_matrix, trace_potential, trace_power)
 from todagibbs import matrices
 from todagibbs.matrices import _folded_band, _trace_deltas, matrix_text
-from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
+from todagibbs.sampling import (SeededStream, _colour_classes, sample_beta_matrix,
+                                sample_toda_matrix)
 
 from _oracles import char_poly_eigenvalues, with_entry
 
@@ -305,6 +306,29 @@ def test_stacked_deltas_match_dense_difference(degree, periodic):
             want = [dense_trace_v(with_entry(m, s, kind, x), coeffs) - base
                     for s, x in zip(sites, new)]
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(base))
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_a_colour_class_moves_tr_v_by_the_sum_of_its_site_deltas(degree):
+    # no closed walk of length <= deg V uses two moves of one class, so a
+    # whole class applied at once moves Tr V by the sum of its members'
+    # deltas, each taken alone; below N = deg + 1 every class is one site
+    rng = np.random.default_rng(degree + 100)
+    coeffs = np.zeros(degree + 1)
+    coeffs[::2] = rng.uniform(0.1, 1.0, degree // 2 + 1)
+    for n in range(3, degree + 4):
+        m = random_matrix(rng, n)
+        base = dense_trace_v(m, coeffs)
+        for sites in _colour_classes(n, degree):
+            for kind in ("diag", "offdiag"):
+                new = rng.standard_normal(sites.size) ** 2 + 0.05
+                deltas = _trace_deltas(m.diag, m.offdiag, True, sites, kind, new,
+                                       tuple(coeffs))
+                moved = m
+                for site, value in zip(sites, new):
+                    moved = with_entry(moved, site, kind, value)
+                whole = dense_trace_v(moved, coeffs) - base
+                assert abs(whole - deltas.sum()) <= 1e-12 * (1.0 + abs(base))
 
 
 def test_local_delta_degree_fallback():

@@ -16,7 +16,7 @@ from todagibbs import (Grid, NonConfiningError, Potential,
 from todagibbs import sampling
 from todagibbs.sampling import (_colour_classes, _draw_entries, _log_accept_a, _log_accept_b,
                                 _mcmc_chains)
-from todagibbs.matrices import _trace_deltas
+from todagibbs.matrices import _delta_radius, _trace_deltas
 
 from _oracles import (quadratic_v_diag_second_moment, quadratic_v_offdiag_second_moment,
                       quadratic_v_tilted_mean, sequential_metropolis_sweeps, with_entry)
@@ -333,12 +333,20 @@ def test_tabulated_chain_corrects_a_wrong_surrogate_to_the_closed_form(monkeypat
         assert_chain_mean(np.mean(np.square(entries), axis=1), want, bias=rel * want)
 
 
-@pytest.mark.parametrize("v, passes", [(Potential.polynomial([0, 0, 0.5]), 1),
-                                       (tabulated_quadratic(0.5, 0.1), 2)],
+def tabulated_quartic(h):
+    """0.5 x^2 + 0.1 x^4 tabulated on [-8, 8] at node spacing h, with itself beyond."""
+    envelope = Potential.polynomial([0, 0, 0.5, 0, 0.1])
+    xs = np.linspace(-8.0, 8.0, round(16.0 / h) + 1)
+    return Potential.tabulated(xs, envelope(xs), envelope_coeffs=envelope.coeffs)
+
+
+@pytest.mark.parametrize("v, passes", [(Potential.polynomial([0, 0, 0.5, 0, 0.1]), 1),
+                                       (tabulated_quartic(0.1), 2)],
                          ids=["polynomial", "tabulated"])
 def test_sweep_is_a_palindrome_for_a_tabulated_v(monkeypatch, v, passes):
     # the surrogate sweeps are reversible only as a palindrome: the forward
-    # pass, then its reverse; a polynomial sweep is the forward pass alone
+    # pass, then its reverse; a polynomial sweep is the forward pass alone.
+    # A quartic V_s has two classes at N = 40 (a quadratic one has one per kind)
     steps = []
 
     def recording(diag, off, periodic, sites, kind, new_values, coeffs):
@@ -347,7 +355,7 @@ def test_sweep_is_a_palindrome_for_a_tabulated_v(monkeypatch, v, passes):
 
     monkeypatch.setattr(sampling, "_trace_deltas", recording)
     mcmc_toda(SeededStream(2, 0), 40, 1.0, v, sweeps=1)
-    forward = [(tuple(sites), kind) for sites in _colour_classes(40, 2)
+    forward = [(tuple(sites), kind) for sites in _colour_classes(40, 4)
                for kind in ("diag", "offdiag")]
     assert len(forward) > 2 and steps == (forward + forward[::-1])[:len(forward) * passes]
 
@@ -365,6 +373,23 @@ def test_surrogate_fits_an_even_polynomial_table_at_its_nodes(xs, envelope):
     assert len(coeffs) == len(envelope) and not any(coeffs[1::2])
     np.testing.assert_allclose(np.polynomial.polynomial.polyval(xs, coeffs), vs,
                                rtol=0, atol=1e-9)
+
+
+def test_chain_under_a_non_confining_surrogate_stays_finite_and_corrects():
+    # a valid tabulated V whose least-squares V_s has a negative leading
+    # coefficient, so V_s alone confines nothing; the correction to V keeps
+    # the chain confined.  Seeds 1-10 corrected at 0.88-0.93 over 300 sweeps
+    xs = np.linspace(-6.0, 6.0, 241)
+    vs = 0.1 * xs ** 4 + 0.5 * np.log1p(xs ** 2)
+    envelope = [vs[-1] - 1e-6 * 6.0 ** 8] + [0] * 7 + [1e-6]
+    v = Potential.tabulated(xs, vs, envelope_coeffs=envelope)
+    assert sampling._surrogate(v)[-1] < 0.0
+    streams = [SeededStream(seed, 0) for seed in (1, 2, 3)]
+    for rep in _mcmc_chains(streams, 40, 1.0, v, [1.0] * 3, sweeps=300):
+        assert np.all(np.isfinite(rep.trace_v_series))
+        assert all(np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.offdiag))
+                   for m in rep.samples)
+        assert rep.acceptance["correction"] > 0.8
 
 
 def test_single_site_detailed_balance_and_occupancy():
@@ -435,32 +460,47 @@ def test_constant_potential_chain_runs(n):
         assert _trace_deltas(last.diag, last.offdiag, True, [1], kind, [0.3], v.coeffs)[0] == 0.0
 
 
-@pytest.mark.parametrize("n", [20, 23, 41, 200, 201, 2003])
+@pytest.mark.parametrize("n", [20, 23, 41, 200, 201, 2003, 3, 4, 5, 6, 7, 8, 9])
 @pytest.mark.parametrize("degree", [2, 4, 6])
 def test_colour_classes_partition_the_cycle_into_spaced_sites(n, degree):
+    # members of a class lie at least the delta radius + 1 apart on the
+    # cycle, and only a cycle a walk of length <= degree can wrap gets one
+    # site per class
     classes = _colour_classes(n, degree)
-    stride = 2 * degree + 2
+    spacing = _delta_radius(degree) + 1
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
-    assert len(classes) < 2 * stride  # a class holds about n / stride sites
+    singles = all(sites.size == 1 for sites in classes)
+    assert singles == (n <= degree)
+    if singles:
+        assert np.array_equal(np.concatenate(classes), np.arange(n))
+    else:
+        assert len(classes) < 2 * spacing  # a class holds about n / spacing sites
     for sites in classes:
         gaps = np.abs(sites[:, None] - sites[None, :])
         cyclic = np.minimum(gaps, n - gaps)[~np.eye(sites.size, dtype=bool)]
-        assert np.all(cyclic >= stride)
+        assert np.all(cyclic >= spacing)
 
 
-@pytest.mark.parametrize("n", [20, 23, 41])
-def test_class_sweeps_match_sequential_dense_oracle(n):
+QUARTIC, SEXTIC = (0, 0, 0, 0, 1.0), (0, 0, 0, 0, 0, 0, 1.0)
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    # N = 4 is the largest cycle a walk of length 4 wraps: one site per class
+    *(pytest.param(n, QUARTIC, id=str(n)) for n in (20, 23, 41, 4, 5)),
+    *(pytest.param(n, SEXTIC, id=f"sextic-{n}") for n in (6, 7, 8)),
+])
+def test_class_sweeps_match_sequential_dense_oracle(n, coeffs):
     # the chain draws its start and each sweep's proposals and uniforms from
     # one stream; replay them through a one-move-at-a-time dense sweep
-    coeffs, p, sweeps = [0, 0, 0, 0, 1.0], 1.0, 20
+    p, sweeps = 1.0, 20
     stream = SeededStream(40, n)
     rep = mcmc_toda(stream, n, p, Potential.polynomial(coeffs), sweeps=sweeps)
     rng = stream.generator()
     diag, off = rng.standard_normal(n), np.sqrt(rng.gamma(np.full(n, p), 1.0))
     draws = [(rng.standard_normal(n), np.log(rng.random(n)),
               rng.standard_normal(n), np.log(rng.random(n))) for _ in range(sweeps)]
-    states = sequential_metropolis_sweeps(diag, off, p, coeffs, _colour_classes(n, 4),
-                                          draws, (0.5, 0.5))
+    states = sequential_metropolis_sweeps(diag, off, p, coeffs,
+                                          _colour_classes(n, len(coeffs) - 1), draws, (0.5, 0.5))
     burn = sweeps - len(rep.samples)  # 4 sweeps, below ADAPT_MIN_BURN: no scale update
     for sample, (d, o) in zip(rep.samples, states[burn:], strict=True):
         assert np.max(np.abs(sample.diag - d)) <= 1e-9
