@@ -146,9 +146,10 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     lhs: (1/N) log E[exp(-Tr V)] under the V = 0 ensemble, via
          -int_0^1 E_alpha[(1/N) Tr V] d(alpha) with E_alpha sampled by
          ``replicas`` MCMC chains that run V at tilt alpha (Gauss-Legendre
-         in s with alpha = s^2, as E_alpha is not analytic at alpha = 0, stderr
-         from replica spread); a chain's mean and ESS (node_ess, min_ess) read
-         its running (1/N) Tr V at every post-burn sweep.
+         in s with alpha = s^2, as E_alpha is not analytic at alpha = 0); a
+         chain's mean, ESS (node_ess, min_ess) and variance of its mean,
+         var * tau_int / len (Sokal 1997), read its running (1/N) Tr V at
+         every post-burn sweep, and a node's stderr pools its chains'.
     rhs: d/dP ( P * [F_C(V, P) - F_C(0, P)] ) = lambda_0(P) - lambda_V(P),
          the difference of the two solves' multipliers at P.  With F the
          functional minimum and E the log-energy of mu_P, the envelope
@@ -161,8 +162,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     """
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas for a spread-based stderr")
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
 
     s_nodes, s_weights = gauss_legendre_unit(n_alpha)
     alphas, weights = s_nodes ** 2, 2.0 * s_nodes * s_weights
@@ -185,10 +186,12 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     series = [r.trace_v_series for r in reports]
     values = np.reshape([np.mean(s) for s in series], (-1, replicas))
     ess = np.reshape([s.size / integrated_autocorr_time(s) for s in series], values.shape)
+    # a constant series has no variance, though its mean can round off its value
+    variances = np.reshape([np.var(s) if np.ptp(s) else 0.0 for s in series], values.shape)
     rates = {kind: np.reshape([r.acceptance[kind] for r in reports], ess.shape).mean(axis=1)
              for kind in (reports[0].acceptance if reports else ())}
     node_means = values.mean(axis=1)
-    node_se = values.std(axis=1, ddof=1) / np.sqrt(replicas)
+    node_se = np.sqrt(np.sum(variances / ess, axis=1)) / replicas
     node_ess = [float(sum(row)) for row in ess]
     node_acceptance = [{kind: float(rate[k]) for kind, rate in rates.items()}
                        for k in range(len(alphas))]

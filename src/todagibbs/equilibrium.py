@@ -314,8 +314,8 @@ def domain_auto(p: float, w: Potential) -> float:
     """Smallest half-width L with exp(-W(L) + 2P log(2L)) <= 1e-16 exp(-min W).
 
     min W is taken over the exact critical candidates of W, which hold its
-    argmin: the roots of W' for the polynomial or the envelope and, for a
-    table, its nodes and the vertex -b of x^2/2 + a + b x on each segment.  A
+    argmin: the roots of W' for the polynomial ``w.coeffs`` and the nodes of
+    a table and the vertex -b of x^2/2 + a + b x on each of its segments.  A
     doubling search brackets the crossing, bisection refines it.  The search
     starts at the farthest candidate where the bound fails, or at 1, so no
     well of W is cut off.  The bound keeps the truncated tail mass of the
@@ -323,14 +323,11 @@ def domain_auto(p: float, w: Potential) -> float:
     """
     if not 0 <= p < np.inf:
         raise ValueError("pressure must be nonnegative")
-    coeffs = np.asarray(w.envelope if w.is_tabulated else w.coeffs, dtype=float)
+    coeffs = np.asarray(w.coeffs, dtype=float)
     # W' in descending powers; a complex root's real part is a harmless extra point
     slope = np.polyder(np.polyadd(coeffs[::-1], [0.5, 0.0, 0.0]))
-    candidates = [np.roots(slope).real]
-    if w.is_tabulated:
-        xs, vs = np.asarray(w.table_x), np.asarray(w.table_v)
-        candidates += [xs, -np.diff(vs) / np.diff(xs)]
-    candidates = np.concatenate(candidates)
+    xs, vs = np.asarray(w.table_x, dtype=float), np.asarray(w.table_v, dtype=float)
+    candidates = np.concatenate([np.roots(slope).real, xs, -np.diff(vs) / np.diff(xs)])
     w_min = float(np.min(w.confinement(candidates)))
 
     def excess(length):

@@ -13,10 +13,11 @@ length-k walks at j, and such a walk stays within k // 2 sites of j, so
 every trace functional is read off one routine: ``_windows`` stacks the
 small dense windows of M around many sites, and ``_poly_diagonals`` takes
 the diagonal of V(W) for each.  ``trace_power`` and ``trace_potential`` for
-polynomial V sum the centre entry V(M)_jj of the window around each j, and
-``_trace_deltas`` gets the change of Tr V(M) under one entry-pair update from
-the windows of radius ``_delta_radius`` around the modified sites of a whole
-colour class of the Metropolis chain at once.
+polynomial V, V = 0 included, sum the centre entry V(M)_jj of the window
+around each j at every N (a cycle too short for the window is its own
+window), and ``_trace_deltas`` gets the change of Tr V(M) under one
+entry-pair update from the windows of radius ``_delta_radius`` around the
+modified sites of a whole colour class of the Metropolis chain at once.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class PeriodicJacobiMatrix:
         diag = np.atleast_1d(np.asarray(self.diag, dtype=float)).copy()
         off = np.atleast_1d(np.asarray(self.offdiag, dtype=float)).copy()
         n = diag.size
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise InvalidMatrixError("matrix has non-finite entries")
         if self.periodic:
             if n < 3:
                 raise InvalidMatrixError("periodic matrices need N >= 3")
@@ -114,11 +117,6 @@ class EmpiricalSpectralMeasure:
     @classmethod
     def merge(cls, measures) -> "EmpiricalSpectralMeasure":
         return cls(np.concatenate([m.values for m in measures]))
-
-
-def _require_finite(m: PeriodicJacobiMatrix) -> None:
-    if not (np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.offdiag))):
-        raise InvalidMatrixError("matrix has non-finite entries")
 
 
 def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:
@@ -185,7 +183,6 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     (``_folded_band``); the permutation is a similarity, so the spectrum is
     unchanged.  Eigenvalues only, O(N^2).
     """
-    _require_finite(m)
     if m.periodic:
         ab = _folded_band(m)
     else:
@@ -243,31 +240,25 @@ def _trace_poly(m: PeriodicJacobiMatrix, coeffs: tuple[float, ...]) -> float:
     """Tr V(M), V by ascending coeffs, as the sum of the entries V(M)_jj.
 
     A closed walk of length at most d = deg V at j stays within r = d // 2
-    sites of j, so V(M)_jj is the centre entry of V(W) for the plain
-    tridiagonal window W of radius r around j.  The walk can wrap the cycle
-    only when N <= 2r + 1, where one whole matrix is built and its diagonal summed.
+    sites of j, so V(M)_jj is the centre entry of V(W) for the window W of
+    radius r around j (``_windows``; the whole matrix when N <= 2r + 1, where
+    the walk can wrap the cycle).  V = 0 has no terms: r = 0 and every entry is 0.
     """
-    r = (len(coeffs) - 1) // 2
-    whole = 2 * r + 1 > m.n - 1
-    sites = np.arange(1 if whole else m.n)
+    r = max(len(coeffs) - 1, 0) // 2
+    sites = np.arange(m.n)
     w, pos = _windows(m.diag, m.offdiag, m.periodic, sites, r, 2 * r + 1)
-    diagonals = _poly_diagonals(w, coeffs)
-    return float((diagonals if whole else diagonals[sites, pos]).sum())
+    return float(_poly_diagonals(w, coeffs)[sites, pos].sum())
 
 
 def trace_power(m: PeriodicJacobiMatrix, power: int) -> float:
     """(1/N) Tr(M^power), from the window of radius power // 2 around each site."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    _require_finite(m)
     return _trace_poly(m, (0.0,) * power + (1.0,)) / m.n
 
 
 def trace_potential(m: PeriodicJacobiMatrix, v: Potential) -> float:
     """(1/N) Tr V(M): polynomial V from small dense windows, tabulated V on the spectrum."""
-    _require_finite(m)
-    if v.is_zero:
-        return 0.0
     if v.is_polynomial:
         return _trace_poly(m, v.coeffs) / m.n
     return float(np.mean(v(eigenvalues(m).values)))

@@ -1,19 +1,20 @@
 """Confining potentials.
 
 Every ensemble and variational problem in this package uses a confinement of
-the form W(x) = x^2/2 + V(x).  The extra term V is one of
+the form W(x) = x^2/2 + V(x).  V has one representation: an even polynomial
+``coeffs`` (ascending powers, positive leading coefficient) that an optional
+table overrides by its linear interpolant on the table's range.
 
-* the zero potential,
-* an even polynomial with positive leading coefficient, or
-* a tabulated continuous function together with an even-polynomial
-  envelope: V is the linear interpolant of the table inside its range and
-  the envelope outside it.  Construction requires the two to agree within
-  ``slack`` at both table edges.
+* V = 0 is the polynomial with no terms and no table.
+* A polynomial V has no table.
+* A tabulated V is a continuous function given at the table's nodes; its
+  ``coeffs`` are the envelope, V outside the table.  Construction requires
+  the two to agree within ``slack`` at both table edges.
 
-The checks made at construction (finite entries, an even polynomial or
-envelope whose leading coefficient is positive, or a constant one) already
-make W bounded below and tending to +infinity, so no potential is probed for
-confinement afterwards.
+The checks made at construction (finite entries, an even polynomial whose
+leading coefficient is positive, or a constant one) already make W bounded
+below and tending to +infinity, so no potential is probed for confinement
+afterwards.
 """
 
 from __future__ import annotations
@@ -60,33 +61,28 @@ def _validate_even_poly(coeffs: tuple[float, ...]) -> tuple[float, ...]:
 class Potential:
     """The V part of the confinement W(x) = x^2/2 + V(x).
 
-    Use the constructors :meth:`zero`, :meth:`polynomial`, :meth:`tabulated`
-    rather than instantiating directly.
+    V is the even polynomial ``coeffs`` (ascending powers; none for V = 0),
+    except on the range of the table ``table_x``, ``table_v`` (empty for a
+    polynomial V), where it is the table's linear interpolant.  Use the
+    constructors :meth:`zero`, :meth:`polynomial`, :meth:`tabulated` rather
+    than instantiating directly.
     """
 
-    kind: str
     coeffs: tuple[float, ...] = ()
     table_x: tuple[float, ...] = field(default=(), repr=False)
     table_v: tuple[float, ...] = field(default=(), repr=False)
-    envelope: tuple[float, ...] = ()
     slack: float = 0.0
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Potential":
-        return cls(kind="zero")
+        return cls()
 
     @classmethod
     def polynomial(cls, coeffs) -> "Potential":
-        """Even polynomial, coefficients in ascending powers.
-
-        An all-zero coefficient list collapses to the zero potential.
-        """
-        cleaned = _validate_even_poly(tuple(np.atleast_1d(coeffs)))
-        if not cleaned:
-            return cls.zero()
-        return cls(kind="polynomial", coeffs=cleaned)
+        """Even polynomial, coefficients in ascending powers; trailing zeros are dropped."""
+        return cls(coeffs=_validate_even_poly(tuple(np.atleast_1d(coeffs))))
 
     @classmethod
     def tabulated(cls, xs, vs, envelope_coeffs=(), slack=1e-2) -> "Potential":
@@ -104,10 +100,9 @@ class Potential:
         if not (np.isfinite(slack) and slack >= 0):
             raise ValueError(f"slack must be finite and nonnegative, got {slack}")
         pot = cls(
-            kind="tabulated",
+            coeffs=env,
             table_x=tuple(float(v) for v in xs),
             table_v=tuple(float(v) for v in vs),
-            envelope=env,
             slack=slack,
         )
         # handoff consistency: table and envelope must agree at the edges
@@ -124,38 +119,27 @@ class Potential:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero"
+        return not (self.coeffs or self.table_x)
 
     @property
     def is_polynomial(self) -> bool:
-        # the zero potential is the zero polynomial
-        return self.kind in ("zero", "polynomial")
+        return not self.table_x
 
     @property
     def is_tabulated(self) -> bool:
-        return self.kind == "tabulated"
-
-    @property
-    def degree(self) -> int:
-        if self.kind == "polynomial":
-            return len(self.coeffs) - 1
-        if self.kind == "zero":
-            return 0
-        raise TypeError("tabulated potentials have no polynomial degree")
+        return bool(self.table_x)
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate V(x): a tabulated V is its envelope outside the table."""
+        """Evaluate V(x): the polynomial, or the table's interpolant on its range."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "polynomial":
+        if not self.table_x:
             return _poly_eval(self.coeffs, x)
         xs = np.asarray(self.table_x)
         return np.where((x >= xs[0]) & (x <= xs[-1]),
                         np.interp(x, xs, np.asarray(self.table_v)),
-                        _poly_eval(self.envelope, x))
+                        _poly_eval(self.coeffs, x))
 
     def confinement(self, x):
         """W(x) = x^2/2 + V(x)."""
@@ -165,29 +149,29 @@ class Potential:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.kind == "zero":
+        if self.is_tabulated:
+            return {
+                "type": "tabulated",
+                "x": list(self.table_x),
+                "v": list(self.table_v),
+                "envelope": list(self.coeffs),
+                "slack": self.slack,
+            }
+        if self.is_zero:
             return {"type": "zero"}
-        if self.kind == "polynomial":
-            return {"type": "polynomial", "coeffs": list(self.coeffs)}
-        return {
-            "type": "tabulated",
-            "x": list(self.table_x),
-            "v": list(self.table_v),
-            "envelope": list(self.envelope),
-            "slack": self.slack,
-        }
+        return {"type": "polynomial", "coeffs": list(self.coeffs)}
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Potential":
-        kind = spec.get("type")
-        if kind == "zero":
+        form = spec.get("type")
+        if form == "zero":
             return cls.zero()
-        if kind == "polynomial":
+        if form == "polynomial":
             return cls.polynomial(spec["coeffs"])
-        if kind == "tabulated":
+        if form == "tabulated":
             return cls.tabulated(
                 spec["x"], spec["v"],
                 envelope_coeffs=spec.get("envelope", ()),
                 slack=spec.get("slack", 1e-2),
             )
-        raise ValueError(f"unknown potential type: {kind!r}")
+        raise ValueError(f"unknown potential type: {form!r}")

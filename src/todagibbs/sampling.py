@@ -222,9 +222,10 @@ def mcmc_toda(stream: SeededStream, n: int, p: float, v: Potential,
     Proposal scales adapt toward 30-40% acceptance during the burn-in (the
     first BURN_IN_FRACTION of the sweeps, which yields no samples), every 25
     sweeps or once at its end if it is shorter, then freeze; a burn-in of
-    fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Tabulated V
-    sweeps under a polynomial fit and corrects each sweep exactly, and its
-    acceptance adds the correction's.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
+    fewer than ADAPT_MIN_BURN sweeps keeps the given scales.  Acceptance
+    rates count the post-burn sweeps only.  Tabulated V sweeps under a
+    polynomial fit and corrects each sweep exactly, and its acceptance adds
+    the correction's.  This is ``_mcmc_chains``'s batch of one, at tilt 1.
     """
     return _mcmc_chains([stream], n, p, v, [1.0], sweeps, thin, proposal_scales)[0]
 
@@ -259,7 +260,7 @@ def _surrogate(v: Potential) -> tuple[float, ...]:
     if v.is_polynomial:
         return v.coeffs
     xs, scale = np.asarray(v.table_x), max(abs(v.table_x[0]), abs(v.table_x[-1]))
-    powers = np.arange(0, max(len(v.envelope) - 1, 2) + 1, 2)
+    powers = np.arange(0, max(len(v.coeffs) - 1, 2) + 1, 2)
     fit = np.linalg.lstsq((xs[:, None] / scale) ** powers, v.table_v, rcond=None)[0]
     coeffs = np.zeros(powers[-1] + 1)
     coeffs[powers] = fit / scale ** powers
@@ -312,8 +313,8 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     # diag then offdiag, each a (chains, 1) column like the tilts
     scales = np.ones((2, chains, 1)) * np.reshape(proposal_scales, (2, 1, 1))
     tilts = tilts[:, None]
-    # diag, offdiag and, for a tabulated V, correction acceptances since the last adaptation
-    accepted, swept = np.zeros((2 + v.is_tabulated, chains), dtype=int), 0
+    # diag, offdiag and, for a tabulated V, correction acceptances since the last reset
+    accepted = np.zeros((2 + v.is_tabulated, chains), dtype=int)
     # every 25 sweeps, or once at the end of a shorter burn-in
     adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
 
@@ -326,6 +327,8 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     samples, t2_series, trv_series = [[] for _ in rngs], [], []
 
     for sweep in range(sweeps):
+        if sweep == burn:  # the acceptance rates count post-burn sweeps only
+            accepted[:] = 0
         # per chain: each pass's proposals and uniforms by site, then the correction's
         draws = [np.concatenate(x) for x in zip(*(
             [x for _ in passes for x in (rng.standard_normal(n), np.log(rng.random(n)),
@@ -365,14 +368,13 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             diag[~ok], off[~ok] = start[0][~ok], start[1][~ok]
             trv = np.where(ok, exact, start[2])
             accepted[2] += ok
-        swept += 1
 
         if sweep < burn:
             if adapt_interval and (sweep + 1) % adapt_interval == 0:
-                rate = (accepted[:2] / (moves[:2] * swept))[..., None]
+                rate = (accepted[:2] / (moves[:2] * adapt_interval))[..., None]
                 scales = np.where(rate > 0.40, np.minimum(scales * 1.25, 10.0),
                                   np.where(rate < 0.30, np.maximum(scales / 1.25, 1e-3), scales))
-                accepted[:], swept = 0, 0
+                accepted[:] = 0
             continue
 
         t2_series.append((np.sum(diag ** 2, axis=1) + 2.0 * np.sum(off ** 2, axis=1)) / n)
@@ -381,7 +383,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             for chain_samples, d, o in zip(samples, diag, off):
                 chain_samples.append(PeriodicJacobiMatrix(d, o, periodic=True))
 
-    rates = accepted / (moves * max(swept, 1))
+    rates = accepted / (moves * (sweeps - burn))
     series, v_series = (np.ascontiguousarray(np.transpose(x)) for x in (t2_series, trv_series))
     return [McmcReport(
         samples=kept,

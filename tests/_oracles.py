@@ -132,13 +132,6 @@ def beta_two_point_trace_moment(beta, cutoff=12.0):
     return num / z
 
 
-def gauss_quadrature_integral(fn, lo, hi, n=400):
-    """Fixed-order Gauss-Legendre integral, for closed-form test constants."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    return float(0.5 * (hi - lo) * np.sum(weights * fn(xs)))
-
-
 def sequential_metropolis_sweeps(diag, off, p, coeffs, classes, draws, scales):
     """States after each sweep of a one-move-at-a-time Metropolis chain on a periodic matrix.
 

@@ -218,7 +218,11 @@ def test_free_energy_check_validation():
     with pytest.raises(ValueError):
         free_energy_relation_check(1.0, W0, n=50, mc_sweeps=10, n_alpha=4)
     with pytest.raises(ValueError):
-        free_energy_relation_check(1.0, W0, n=50, mc_sweeps=10, replicas=1)
+        free_energy_relation_check(1.0, W0, n=50, mc_sweeps=10, replicas=0)
+    # one chain per node has an error bar from its own autocorrelation
+    v = Potential.polynomial([0, 0, 0.1])
+    rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=20, seed=3, replicas=1)
+    assert all(se > 0.0 for se in rep["node_stderr"]) and rep["stderr"] > 0.0
 
 
 @pytest.mark.parametrize("p, n, sweeps", [

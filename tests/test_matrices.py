@@ -44,12 +44,12 @@ def test_shape_validation():
         PeriodicJacobiMatrix([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], periodic=False)
 
 
-def test_non_finite_entries_rejected_by_operations():
-    m = PeriodicJacobiMatrix([1.0, np.nan, 0.0], [1.0, 1.0, 1.0], periodic=True)
-    with pytest.raises(InvalidMatrixError):
-        eigenvalues(m)
-    with pytest.raises(InvalidMatrixError):
-        trace_power(m, 2)
+def test_non_finite_entries_rejected_at_construction():
+    for diag, off, periodic in (([1.0, np.nan, 0.0], [1.0, 1.0, 1.0], True),
+                                ([1.0, 2.0, 0.0], [1.0, 1.0, np.inf], True),
+                                ([1.0, 2.0, 0.0], [-np.inf, 1.0], False)):
+        with pytest.raises(InvalidMatrixError, match="non-finite"):
+            PeriodicJacobiMatrix(diag, off, periodic=periodic)
 
 
 def test_spectral_measure_sorted_and_validated():
@@ -230,6 +230,15 @@ def test_trace_potential_consistency():
     a = float(np.mean(V4(eigenvalues(m).values)))
     b = trace_potential(m, V4)
     assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("periodic, n", [(True, n) for n in range(3, 9)]
+                         + [(False, n) for n in range(2, 9)])
+def test_trace_potential_of_zero_is_exactly_zero(periodic, n):
+    # V = 0 is the polynomial with no terms, traced like any other, windows
+    # of the whole matrix included
+    m = random_matrix(np.random.default_rng(5 + n), n, periodic=periodic)
+    assert trace_potential(m, Potential.zero()) == 0.0
 
 
 def test_trace_potential_tabulated_beyond_table_uses_envelope():

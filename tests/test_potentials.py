@@ -10,14 +10,15 @@ def test_zero_potential():
     v = Potential.zero()
     assert v.is_zero and v.is_polynomial
     assert np.all(v(np.linspace(-3, 3, 7)) == 0.0)
-    assert v.degree == 0
+    assert v.coeffs == () and not v.is_tabulated
 
 
 def test_polynomial_evaluation():
     v = Potential.polynomial([0.5, 0, 0.25, 0, 1.0])
     x = np.array([-2.0, 0.0, 1.5])
     assert np.allclose(v(x), 0.5 + 0.25 * x ** 2 + x ** 4)
-    assert v.degree == 4
+    assert v.coeffs == (0.5, 0.0, 0.25, 0.0, 1.0)
+    assert v.is_polynomial and not (v.is_zero or v.is_tabulated)
 
 
 def test_polynomial_rejects_odd_degree_and_negative_leading():
@@ -30,8 +31,13 @@ def test_polynomial_rejects_odd_degree_and_negative_leading():
 
 
 def test_all_zero_coefficients_collapse_to_zero():
-    v = Potential.polynomial([0.0, 0.0, 0.0])
-    assert v.is_zero
+    # V = 0 is the polynomial with no terms, whichever way it is built
+    forms = (Potential.zero(), Potential.polynomial([0.0, 0.0, 0.0]),
+             Potential.from_dict({"type": "zero"}))
+    assert forms[0] == forms[1] == forms[2]
+    for v in forms:
+        assert v.is_zero and v.coeffs == ()
+        assert v.to_dict() == {"type": "zero"}
 
 
 def test_confinement():
@@ -47,12 +53,20 @@ def test_tabulated_range_and_envelope():
     assert v(np.array([1.0]))[0] == pytest.approx(0.1, abs=1e-4)
     # the envelope outside the table, the table's interpolant inside it
     outside = np.array([-50.0, -4.5, 4.0 + 1e-9, 5.0, 10.0])
-    assert np.array_equal(v(outside), Potential.polynomial(v.envelope)(outside))
+    assert np.array_equal(v(outside), Potential.polynomial(v.coeffs)(outside))
     inside = np.array([-4.0, -1.23, 0.0, 0.7, 4.0])
     assert np.array_equal(v(inside), np.interp(inside, xs, vs))
     mixed = np.concatenate([outside, inside])
     assert np.array_equal(v(mixed), np.concatenate([v(outside), v(inside)]))
     assert np.array_equal(v.confinement(mixed), 0.5 * mixed ** 2 + v(mixed))
+
+
+def test_tabulated_envelope_is_its_coeffs():
+    xs = np.linspace(-2, 2, 41)
+    v = Potential.tabulated(xs, 0.3 * xs ** 2, envelope_coeffs=[0, 0, 0.3, 0, 0])
+    assert v.is_tabulated and not (v.is_zero or v.is_polynomial)
+    assert v.coeffs == (0.0, 0.0, 0.3)
+    assert v.to_dict()["envelope"] == list(v.coeffs)
 
 
 def test_tabulated_envelope_mismatch_rejected():

@@ -571,6 +571,21 @@ def test_short_burn_in_adapts_proposal_scales():
     assert max(rep.proposal_scales) < 10.0
 
 
+@pytest.mark.parametrize("sweeps", [40, 150])
+def test_acceptance_counts_post_burn_sweeps_only(sweeps):
+    # burn-ins of 8 and 30 sweeps: the first adapts nothing, the second once,
+    # after sweep 25.  A chain of 5 sweeps fewer burns in for one sweep fewer
+    # along the same states, so its first sample is the state the burn-in ends
+    # in, and every accepted move changes its entry
+    v, n, stream = Potential.polynomial([0, 0, 0, 0, 1.0]), 12, SeededStream(4, 0)
+    report = mcmc_toda(stream, n, 1.0, v, sweeps=sweeps)
+    states = [mcmc_toda(stream, n, 1.0, v, sweeps=sweeps - 5).samples[0]] + report.samples
+    for kind in ("diag", "offdiag"):
+        moved = sum(int(np.sum(getattr(a, kind) != getattr(b, kind)))
+                    for a, b in zip(states, states[1:]))
+        assert report.acceptance[kind] == moved / (n * len(report.samples))
+
+
 @pytest.mark.parametrize("scales", [(10.0, 10.0), (10.0, 1000.0)])
 def test_wide_proposals_raise_no_runtime_warning(scales):
     # at scale 1000 most off-diagonal proposals overflow or underflow to 0;
