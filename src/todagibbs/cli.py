@@ -23,6 +23,15 @@ import os
 import sys
 import time
 
+# One OpenBLAS thread per process, unless the user chose a thread count.  No
+# BLAS call here is large enough to use a second thread, and the worker that
+# each OpenBLAS copy (numpy's and scipy's) starts at load spins while the
+# interpreter imports.  Set before numpy loads; the package itself sets nothing.
+# The manifest records the values a run ran with.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -150,6 +159,7 @@ class RunDir:
         self.echo = {"config": cfg, "master_seed": seed}
         self._manifest = {"command": command, "artifact_version": __version__,
                           "config": cfg, "master_seed": seed, "workers": workers,
+                          "thread_env": {key: os.environ.get(key) for key in THREAD_VARS},
                           "status": "running", "outputs": {}}
         self._replace("manifest.json", _json_text(self._manifest))
 

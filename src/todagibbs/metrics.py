@@ -58,7 +58,10 @@ def _cdf(measure, pts: np.ndarray, side: str) -> np.ndarray:
 
 def _cdf_gaps(mu, nu):
     """Merged breakpoints, with F_mu - F_nu there and its left limits there."""
-    pts = np.union1d(_breakpoints(mu), _breakpoints(nu))
+    # the union's sorted distinct values by np.unique's `!=` rule; np.union1d
+    # itself would import numpy.ma (np.unique calls np.ma.is_masked)
+    pts = np.sort(np.concatenate((_breakpoints(mu), _breakpoints(nu))))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
     gap = _cdf(mu, pts, "right") - _cdf(nu, pts, "right")
     gap_left = _cdf(mu, pts, "left") - _cdf(nu, pts, "left")
     return pts, gap, gap_left

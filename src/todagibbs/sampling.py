@@ -47,6 +47,10 @@ BURN_IN_FRACTION = 0.2
 # V = 0 start under V = x^4 at scale 0.5, the mean rate of one sweep climbs
 # from 0.55 to within 0.02 of its settled 0.67-0.71 by about sweep 10
 ADAPT_MIN_BURN = 10
+# one _trace_deltas call stacks at most about this many windows (a class's
+# sites times a block of chains); the temporaries of a larger stack outgrow
+# the cache, and each window is traced alone, so the deltas do not change
+DELTA_WINDOWS = 640
 
 
 @dataclass(frozen=True)
@@ -323,6 +327,13 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     steps = [(sites, sites + n * np.arange(chains)[:, None], kind)
              for sites in _colour_classes(n, len(coeffs) - 1) for kind in ("diag", "offdiag")]
     passes = [steps] if v.is_polynomial else [steps, steps[::-1]]
+
+    def deltas(sites, kind, new_values):
+        block = max(1, DELTA_WINDOWS // sites.size)
+        return np.concatenate([
+            _trace_deltas(diag[c:c + block], off[c:c + block], True, sites, kind,
+                          new_values[c:c + block], coeffs) for c in range(0, chains, block)])
+
     moves = np.array([n * len(passes)] * 2 + [1] * v.is_tabulated)[:, None]
     samples, t2_series, trv_series = [[] for _ in rngs], [], []
 
@@ -343,7 +354,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                     # Gaussian random walk
                     a_old = flat_diag[at]
                     a_new = a_old + scales[0] * xi_a[at]
-                    dtrv = _trace_deltas(diag, off, True, sites, kind, a_new, coeffs)
+                    dtrv = deltas(sites, kind, a_new)
                     ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
                     flat_diag[at[ok]] = a_new[ok]
                     accepted[0] += ok.sum(axis=1)
@@ -355,7 +366,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                         b_new = b_old * np.exp(scales[1] * xi_b[at])
                         valid = (b_new > 0.0) & np.isfinite(b_new)
                         b_new = np.where(valid, b_new, b_old)
-                        dtrv = _trace_deltas(diag, off, True, sites, kind, b_new, coeffs)
+                        dtrv = deltas(sites, kind, b_new)
                         ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
                     flat_off[at[ok]] = b_new[ok]
                     accepted[1] += ok.sum(axis=1)

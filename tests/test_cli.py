@@ -27,6 +27,9 @@ def run(tmp_path, command, cfg, out="out", **flags):
     return main(argv), str(tmp_path / out)
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def source_env():
     """The environment with this package's source directory on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(todagibbs.__file__))
@@ -44,6 +47,9 @@ def test_sample_determinism_and_moments(tmp_path):
     m2 = json.load(open(os.path.join(out2, "manifest.json")))
     assert m1["outputs"] == m2["outputs"]
     assert m1["status"] == "complete"
+    # the thread variables the run ran with; importing the CLI set one if neither was
+    assert m1["thread_env"] == {key: os.environ.get(key) for key in THREAD_VARS}
+    assert set(m1["thread_env"].values()) != {None}
     summary = json.load(open(os.path.join(out1, "summary.json")))
     tol = 3.0 * summary["trace_power2_stderr"]
     assert abs(summary["trace_power2_mean"] - 3.0) <= tol
@@ -318,7 +324,8 @@ def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys)
 
 def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
     # scipy.linalg is most of the CLI's start-up, and only the eigensolve of
-    # `sample` needs it; no command starts a process pool, whatever --workers
+    # `sample` needs it; no command starts a process pool, whatever --workers;
+    # `compare` merges breakpoints without np.unique, which imports numpy.ma
     eig = tmp_path / "eig.csv"
     eig.write_text("replica,lambda\n" + "".join(
         f"0,{x:.17g}\n" for x in np.linspace(-2.0, 2.0, 300)))
@@ -330,8 +337,8 @@ def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
 import json, sys
 from todagibbs.cli import main
 def heavy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "multiprocessing"))
-                  or m == "concurrent.futures.process")
+    return sorted(m for m in sys.modules if m in ("scipy", "numpy.ma", "concurrent.futures.process")
+                  or m.startswith(("scipy.", "numpy.ma.", "multiprocessing")))
 loaded = [heavy()]
 loaded.append([main(["dos", "--config", {dos_cfg!r}, "--out", {str(tmp_path / "nu")!r}])] + heavy())
 loaded.append([main(["compare", "--config", {cmp_cfg!r}, "--out", {str(tmp_path / "cmp")!r}])] + heavy())
@@ -369,6 +376,50 @@ print(json.dumps(loaded))
                           env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, "scipy.linalg._flapack"]] * 4
+
+
+def run_without_thread_vars(script, **preset):
+    """Run ``script`` in a fresh interpreter with only the ``preset`` thread variables set."""
+    env = {k: v for k, v in source_env().items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**env, **preset}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+    ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+])
+def test_cli_runs_openblas_on_one_thread_unless_the_user_chose(tmp_path, preset, expected):
+    # importing the CLI sets the variable before numpy loads; a user's choice is kept
+    cfg = write_config(tmp_path, "sample.json", {"source": "toda", "n": 200, "p": 1.0,
+                                                "replicas": 2})
+    out = str(tmp_path / "out")
+    script = f"""
+import json, os, sys
+from todagibbs.cli import main
+env = {{key: os.environ.get(key) for key in {THREAD_VARS!r}}}
+rc = main(["sample", "--config", {cfg!r}, "--out", {out!r}])
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
+with open(os.path.join({out!r}, "manifest.json")) as fh:
+    print(json.dumps([env, rc, json.load(fh)["thread_env"], tasks]))
+"""
+    env, rc, recorded, tasks = run_without_thread_vars(script, **preset)
+    assert env == recorded == expected and rc == 0
+    if not preset:  # no OpenBLAS worker is left after the eigensolve
+        assert tasks == 1
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_no_variable():
+    script = """
+import json, os, sys
+before = dict(os.environ)
+import todagibbs
+print(json.dumps(["numpy" in sys.modules, dict(os.environ) == before, todagibbs.__version__]))
+"""
+    assert run_without_thread_vars(script) == [False, True, todagibbs.__version__]
 
 
 def test_module_entry_point_runs(tmp_path):
