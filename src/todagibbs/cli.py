@@ -2,10 +2,10 @@
 
 Five subcommands (sample, solve, dos, compare, checks) tie the samplers, the
 equilibrium solver, the density of states and the metrics into reproducible
-runs.  Each run reads one JSON config file, applies the common flag overrides
-(--seed, --workers, --out), writes its outputs atomically and records a
-manifest with the resolved config and per-file SHA-256 digests.  Reruns with
-the same config and seed produce identical digests regardless of worker count.
+runs.  Each run reads one JSON config file, applies the --seed and --out
+overrides, writes its outputs atomically and records a manifest with the
+resolved config and per-file SHA-256 digests.  Reruns with the same config and
+seed produce identical digests.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  Config
 values are validated up front, before the run directory is opened; any other
@@ -84,17 +84,31 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _number(raw) -> float:
+    """A JSON number as a float; booleans and strings are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(raw)
+    return float(raw)
+
+
+def _list(raw, item=lambda x: x) -> tuple:
+    """A JSON list as a tuple, each item cast by ``item``; strings and objects are rejected."""
+    if not isinstance(raw, list):
+        raise ValueError(raw)
+    return tuple(item(x) for x in raw)
+
+
 def _positive_int(cfg: dict, key: str, default=None, minimum: int = 1) -> int:
     return _value(cfg, key, default, _integer, lambda v: v >= minimum,
                   "a positive integer" if minimum == 1 else f"an integer >= {minimum}")
 
 
 def _positive_float(cfg: dict, key: str, default=None) -> float:
-    return _value(cfg, key, default, float, _positive, "a positive number")
+    return _value(cfg, key, default, _number, _positive, "a positive number")
 
 
 # keys that every command reads; main() resolves them
-COMMON_KEYS = ("seed", "workers", "out")
+COMMON_KEYS = ("seed", "out")
 
 
 def _reject_unread(cfg: dict, what: str, keys) -> None:
@@ -106,7 +120,7 @@ def _reject_unread(cfg: dict, what: str, keys) -> None:
 
 
 def _profile_from_config(cfg: dict) -> VarianceProfile:
-    return _value(cfg, "profile", None, lambda raw: VarianceProfile(tuple(raw)),
+    return _value(cfg, "profile", None, lambda raw: VarianceProfile(_list(raw, _number)),
                   lambda _: True, "a list of positive variances")
 
 
@@ -128,7 +142,7 @@ def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
     m = _positive_int(gspec, "m", 2000, minimum=16)
     if gspec.get("half_width", "auto") == "auto":
         return Grid(domain_auto(p, w), m)
-    return Grid(_value(gspec, "half_width", None, float, _positive,
+    return Grid(_value(gspec, "half_width", None, _number, _positive,
                        "a positive number or 'auto'"), m)
 
 
@@ -149,16 +163,15 @@ class RunDir:
     class and message, and the exception propagates.
     """
 
-    def __init__(self, out_dir: str, command: str, cfg: dict, seed: int, workers: int):
+    def __init__(self, out_dir: str, command: str, cfg: dict, seed: int):
         os.makedirs(out_dir, exist_ok=True)
         self._dir = out_dir
         self._t0 = time.time()
         self._names: list[str] = []
-        # parameter echo embedded in every report; the worker count is left out
-        # because it never affects results and digests must not depend on it
+        # parameter echo embedded in every report
         self.echo = {"config": cfg, "master_seed": seed}
         self._manifest = {"command": command, "artifact_version": __version__,
-                          "config": cfg, "master_seed": seed, "workers": workers,
+                          "config": cfg, "master_seed": seed,
                           "thread_env": {key: os.environ.get(key) for key in THREAD_VARS},
                           "status": "running", "outputs": {}}
         self._replace("manifest.json", _json_text(self._manifest))
@@ -202,7 +215,7 @@ SAMPLE_KEYS = {
 }
 
 
-def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
     source = _value(cfg, "source", None, str,
                     lambda s: s in SAMPLE_KEYS, "one of toda, beta, profile, mcmc")
     _reject_unread(cfg, f"source {source}", ("source", *SAMPLE_KEYS[source], *COMMON_KEYS))
@@ -213,8 +226,7 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     if source == "mcmc":
         potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
-        scales = _value(cfg, "proposal_scales", (0.5, 0.5),
-                        lambda raw: tuple(float(x) for x in raw),
+        scales = _value(cfg, "proposal_scales", [0.5, 0.5], lambda raw: _list(raw, _number),
                         lambda t: len(t) == 2 and all(_positive(x) for x in t),
                         "two positive numbers")
         thin = _positive_int(cfg, "thin", 1)
@@ -223,14 +235,14 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     else:
         replicas = _positive_int(cfg, "replicas")
 
-    with RunDir(out_dir, "sample", cfg, seed, workers) as run:
+    with RunDir(out_dir, "sample", cfg, seed) as run:
         extra: dict = {}
         if source == "mcmc":
             report = mcmc_toda(SeededStream(seed, 0), n, p, potential, sweeps=sweeps,
                                thin=thin, proposal_scales=scales)
             samples = report.samples
             extra = {"acceptance": report.acceptance, "autocorr_time": report.autocorr_time,
-                     "ess": report.ess, "sweeps": report.sweeps,
+                     "ess": report.ess, "sweeps": sweeps,
                      "proposal_scales": list(report.proposal_scales)}
             if dump_samples:
                 for k, sample in enumerate(samples):
@@ -263,16 +275,16 @@ def cmd_sample(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 # -- solve -----------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+def cmd_solve(cfg: dict, seed: int, out_dir: str) -> int:
     _reject_unread(cfg, "solve", ("p", "potential", "grid", "tol", "max_iter", *COMMON_KEYS))
-    p = _value(cfg, "p", None, float, lambda v: 0 <= v < math.inf, "a nonnegative number")
+    p = _value(cfg, "p", None, _number, lambda v: 0 <= v < math.inf, "a nonnegative number")
     w = _potential_from_config(cfg)
     grid = _grid_from_config(cfg, max(p, 0.5), w)
     tol = _positive_float(cfg, "tol", 1e-8)
     max_iter = _value(cfg, "max_iter", 10000, _integer, lambda v: v >= 0,
                       "a nonnegative integer")
 
-    with RunDir(out_dir, "solve", cfg, seed, workers) as run:
+    with RunDir(out_dir, "solve", cfg, seed) as run:
         solution = solve_equilibrium(p, w, grid, tol=tol, max_iter=max_iter)
         run.write("density.csv", solution.density.to_csv_text())
         record = solution.to_json_dict(density_file="density.csv")
@@ -287,7 +299,7 @@ def cmd_solve(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 # -- dos ---------------------------------------------------------------------
 
 
-def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
     mode = "profile" if "profile" in cfg else "single"
     mode_keys = ("profile", "n_nodes") if mode == "profile" else ("p", "h_p")
     _reject_unread(cfg, f"dos in {mode} mode",
@@ -302,11 +314,11 @@ def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
         grid = _grid_from_config(cfg, p + 0.5, w)
         h_p = None
         if cfg.get("h_p") is not None:
-            h_p = _value(cfg, "h_p", None, float, lambda v: 0 < v < p / 2,
+            h_p = _value(cfg, "h_p", None, _number, lambda v: 0 < v < p / 2,
                          f"a number in (0, p/2) = (0, {p / 2:g})")
     tol = _positive_float(cfg, "tol", 1e-8)
 
-    with RunDir(out_dir, "dos", cfg, seed, workers) as run:
+    with RunDir(out_dir, "dos", cfg, seed) as run:
         if mode == "profile":
             nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
             report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
@@ -327,7 +339,7 @@ def cmd_dos(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
 
 def _load_csv(cfg: dict, key: str):
     """An eigenvalue list, or a density when the file carries an 'x,rho' header."""
-    path = _value(cfg, key, None, str, lambda _: True, "a file path")
+    path = _value(cfg, key, None, lambda raw: raw, lambda v: isinstance(v, str), "a file path")
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -339,7 +351,7 @@ def _load_csv(cfg: dict, key: str):
         raise ConfigError(f"cannot read {key}: {exc}") from exc
 
 
-def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+def cmd_compare(cfg: dict, seed: int, out_dir: str) -> int:
     _reject_unread(cfg, "compare", ("eigenvalues_csv", "density_csv", "bandwidth", *COMMON_KEYS))
     empirical = _load_csv(cfg, "eigenvalues_csv")
     density = _load_csv(cfg, "density_csv")
@@ -353,11 +365,11 @@ def cmd_compare(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
     elif empirical.values[0] < edges[0] or empirical.values[-1] > edges[-1]:
         raise ConfigError("eigenvalue range exceeds the density grid")
     # below h/2 a Gaussian centred in a cell can underflow at every grid point
-    bandwidth = (_value(cfg, "bandwidth", None, float, lambda v: grid.h / 2 <= v < math.inf,
+    bandwidth = (_value(cfg, "bandwidth", None, _number, lambda v: grid.h / 2 <= v < math.inf,
                         f"a number >= h/2 = {grid.h / 2:.6g}, half the density grid's step")
                  if cfg.get("bandwidth") is not None else None)
 
-    with RunDir(out_dir, "compare", cfg, seed, workers) as run:
+    with RunDir(out_dir, "compare", cfg, seed) as run:
         if isinstance(empirical, GridDensity):
             smoothed = empirical
             histogram = empirical.values
@@ -394,9 +406,9 @@ CHECK_KEYS = {
 }
 
 
-def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
+def cmd_checks(cfg: dict, seed: int, out_dir: str) -> int:
     names = tuple(CHECK_KEYS)
-    which = _value(cfg, "checks", names, tuple,
+    which = _value(cfg, "checks", list(names), _list,
                    lambda chosen: bool(chosen) and all(name in names for name in chosen),
                    f"a non-empty list of check names from {', '.join(names)}")
     keys = {"p", "potential", "checks", *COMMON_KEYS}.union(*(CHECK_KEYS[c] for c in which))
@@ -421,7 +433,7 @@ def cmd_checks(cfg: dict, seed: int, workers: int, out_dir: str) -> int:
         "fc_convexity": lambda: fc_convexity_check(w=w, grid=grid, tol=tol),
     }
 
-    with RunDir(out_dir, "checks", cfg, seed, workers) as run:
+    with RunDir(out_dir, "checks", cfg, seed) as run:
         # each check returns its own verdict ("pass") and the bound it was judged against
         bundle = {name: runners[name]() for name in names if name in which}
         bundle["run"] = run.echo
@@ -453,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", required=True, help="JSON config file")
         cp.add_argument("--seed", type=int, default=None, help="master seed override")
         cp.add_argument("--workers", type=int, default=None,
-                        help="accepted and recorded in the manifest; no command reads it")
+                        help="accepted for the benchmark harness; no command reads it")
         cp.add_argument("--out", default=None, help="output directory override")
     return parser
 
@@ -474,13 +486,14 @@ def main(argv=None) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        # --seed and --workers override the config keys and are checked alike
-        resolved = {**cfg, **{key: getattr(args, key) for key in ("seed", "workers")
-                              if getattr(args, key) is not None}}
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
+        # --seed overrides the config key and is checked alike
+        resolved = cfg if args.seed is None else {**cfg, "seed": args.seed}
         seed = _value(resolved, "seed", 0, _integer, lambda v: v >= 0, "a nonnegative integer")
-        workers = _positive_int(resolved, "workers", os.cpu_count() or 1)
-        out_dir = args.out if args.out is not None else str(cfg.get("out", "."))
-        return _COMMANDS[args.command](cfg, seed, workers, out_dir)
+        out = _value(cfg, "out", ".", lambda raw: raw, lambda v: isinstance(v, str) and v != "",
+                     "a directory path")
+        return _COMMANDS[args.command](cfg, seed, args.out if args.out is not None else out)
     except (ConfigError, NonConfiningError, DomainTooSmallError) as exc:
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
         return 1

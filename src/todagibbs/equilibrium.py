@@ -69,9 +69,6 @@ class Grid:
         # centered construction keeps the grid exactly antisymmetric
         return (np.arange(self.m) - (self.m - 1) / 2.0) * self.h
 
-    def refine(self) -> "Grid":
-        return Grid(self.half_width, 2 * self.m)
-
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -153,9 +150,6 @@ class LogKernel:
         c = np.concatenate((self.column, [0.0], self.column[:0:-1]))
         self._fft_len = c.size
         self._kernel_fft = np.fft.rfft(c)
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.column[abs(i - j)])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product K @ vec."""

@@ -6,7 +6,7 @@ the (1, N) / (N, 1) corner, the last entry of ``offdiag``.  Storage is
 structure-of-sequences.  The eigensolver never builds the dense matrix:
 both kinds are one symmetric band, of half-width 1 for a plain tridiagonal
 matrix and 2 for a periodic one folded (see ``eigenvalues``), solved by
-one LAPACK ``dsbevd`` call; ``to_dense`` exists for tests and oracles.
+one LAPACK ``dsbevd`` call.
 
 Traces also avoid the dense matrix.  (M^k)_{jj} is a sum over closed
 length-k walks at j, and such a walk stays within k // 2 sites of j, so
@@ -80,18 +80,6 @@ class PeriodicJacobiMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        m = np.diag(self.diag)
-        band = self.offdiag[: n - 1]
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = band
-        m[idx + 1, idx] = band
-        if self.periodic:
-            m[0, n - 1] = self.offdiag[n - 1]
-            m[n - 1, 0] = self.offdiag[n - 1]
-        return m
-
 
 @dataclass(frozen=True)
 class EmpiricalSpectralMeasure:
@@ -113,10 +101,6 @@ class EmpiricalSpectralMeasure:
 
     def moment(self, k: int) -> float:
         return float(np.mean(self.values ** k))
-
-    @classmethod
-    def merge(cls, measures) -> "EmpiricalSpectralMeasure":
-        return cls(np.concatenate([m.values for m in measures]))
 
 
 def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:

@@ -163,15 +163,28 @@ class Potential:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Potential":
+        """The potential of a JSON spec as ``to_dict`` writes it; a missing key raises KeyError."""
         form = spec.get("type")
         if form == "zero":
             return cls.zero()
         if form == "polynomial":
-            return cls.polynomial(spec["coeffs"])
+            return cls.polynomial(_numbers(spec, "coeffs"))
         if form == "tabulated":
-            return cls.tabulated(
-                spec["x"], spec["v"],
-                envelope_coeffs=spec.get("envelope", ()),
-                slack=spec.get("slack", 1e-2),
-            )
+            slack = spec.get("slack", 1e-2)
+            if not _is_number(slack):
+                raise ValueError(f"slack must be a number, got {slack!r}")
+            return cls.tabulated(_numbers(spec, "x"), _numbers(spec, "v"),
+                                 _numbers(spec, "envelope", []), slack)
         raise ValueError(f"unknown potential type: {form!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(spec: dict, key: str, default=None) -> list:
+    """spec[key], which must be a JSON list of numbers; ``default`` when absent, if given."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return value

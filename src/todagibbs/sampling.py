@@ -79,10 +79,6 @@ class VarianceProfile:
             raise ValueError("profile node values must be finite and positive")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def constant(cls, p: float) -> "VarianceProfile":
-        return cls((p, p))
-
     @property
     def maximum(self) -> float:
         return max(self.values)
@@ -147,7 +143,6 @@ class McmcReport:
     acceptance: dict
     autocorr_time: float
     ess: float
-    sweeps: int
     trace_sq_series: np.ndarray = field(repr=False, default=None)
     trace_v_series: np.ndarray = field(repr=False, default=None)
     proposal_scales: tuple = (0.0, 0.0)
@@ -248,7 +243,6 @@ def _run_exact_chain(rng, n, p, sweeps, burn, thin) -> McmcReport:
         acceptance={"diag": 1.0, "offdiag": 1.0},
         autocorr_time=1.0,
         ess=float(len(samples)),
-        sweeps=sweeps,
         trace_sq_series=np.asarray(t2_series),
         trace_v_series=np.zeros(len(t2_series)),
     )
@@ -322,10 +316,8 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
     # every 25 sweeps, or once at the end of a shorter burn-in
     adapt_interval = min(25, burn) if burn >= ADAPT_MIN_BURN else 0
 
-    # the state and the draws are indexed flat: a class's sites in every chain
-    flat_diag, flat_off = diag.reshape(-1), off.reshape(-1)
-    steps = [(sites, sites + n * np.arange(chains)[:, None], kind)
-             for sites in _colour_classes(n, len(coeffs) - 1) for kind in ("diag", "offdiag")]
+    steps = [(sites, kind) for sites in _colour_classes(n, len(coeffs) - 1)
+             for kind in ("diag", "offdiag")]
     passes = [steps] if v.is_polynomial else [steps, steps[::-1]]
 
     def deltas(sites, kind, new_values):
@@ -341,7 +333,7 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
         if sweep == burn:  # the acceptance rates count post-burn sweeps only
             accepted[:] = 0
         # per chain: each pass's proposals and uniforms by site, then the correction's
-        draws = [np.concatenate(x) for x in zip(*(
+        draws = [np.array(x) for x in zip(*(
             [x for _ in passes for x in (rng.standard_normal(n), np.log(rng.random(n)),
                                          rng.standard_normal(n), np.log(rng.random(n)))]
             + ([np.log(rng.random(1))] if v.is_tabulated else []) for rng in rngs))]
@@ -349,33 +341,34 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
             start = diag.copy(), off.copy(), trv.copy()
         for k, pass_steps in enumerate(passes):
             xi_a, log_u_a, xi_b, log_u_b = draws[4 * k:4 * k + 4]
-            for sites, at, kind in pass_steps:
+            for sites, kind in pass_steps:
                 if kind == "diag":
                     # Gaussian random walk
-                    a_old = flat_diag[at]
-                    a_new = a_old + scales[0] * xi_a[at]
+                    a_old = diag[:, sites]
+                    a_new = a_old + scales[0] * xi_a[:, sites]
                     dtrv = deltas(sites, kind, a_new)
-                    ok = log_u_a[at] < _log_accept_a(a_old, a_new, tilts * dtrv)
-                    flat_diag[at[ok]] = a_new[ok]
+                    ok = log_u_a[:, sites] < _log_accept_a(a_old, a_new, tilts * dtrv)
+                    diag[:, sites] = np.where(ok, a_new, a_old)
                     accepted[0] += ok.sum(axis=1)
                 else:
                     # multiplicative log-normal random walk; a proposal that
                     # overflows or is not positive is rejected
-                    b_old = flat_off[at]
+                    b_old = off[:, sites]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        b_new = b_old * np.exp(scales[1] * xi_b[at])
+                        b_new = b_old * np.exp(scales[1] * xi_b[:, sites])
                         valid = (b_new > 0.0) & np.isfinite(b_new)
                         b_new = np.where(valid, b_new, b_old)
                         dtrv = deltas(sites, kind, b_new)
-                        ok = valid & (log_u_b[at] < _log_accept_b(b_old, b_new, p, tilts * dtrv))
-                    flat_off[at[ok]] = b_new[ok]
+                        ok = valid & (log_u_b[:, sites]
+                                      < _log_accept_b(b_old, b_new, p, tilts * dtrv))
+                    off[:, sites] = np.where(ok, b_new, b_old)
                     accepted[1] += ok.sum(axis=1)
                 trv += np.add.reduce(dtrv, axis=1, where=ok)
         if v.is_tabulated:
             # trv has moved from start[2] by the sweep's dTr V_s
             exact = np.array([n * trace_potential(PeriodicJacobiMatrix(d, o), v)
                               for d, o in zip(diag, off)])
-            ok = draws[-1] < -tilts[:, 0] * (exact - trv)
+            ok = draws[-1][:, 0] < -tilts[:, 0] * (exact - trv)
             diag[~ok], off[~ok] = start[0][~ok], start[1][~ok]
             trv = np.where(ok, exact, start[2])
             accepted[2] += ok
@@ -402,7 +395,6 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
                     zip(("diag", "offdiag", "correction"), rates[:, c])},
         autocorr_time=integrated_autocorr_time(series[c]),
         ess=len(kept) / integrated_autocorr_time(series[c, ::thin]),
-        sweeps=sweeps,
         trace_sq_series=series[c],
         trace_v_series=v_series[c],
         proposal_scales=(float(scales[0, c, 0]), float(scales[1, c, 0])),

@@ -7,8 +7,8 @@ counted directly from the atoms), characteristic-function quadrature for the
 log-energy distance, brute-force quadrature for the two-point
 beta-ensemble moment, a one-move-at-a-time Metropolis sweep with Tr V
 from the dense matrix, the untruncated Gaussian kernel sum, and closed forms
-for a quadratic V; ``with_entry`` copies a matrix with one entry changed.
-Nothing here imports from todagibbs.
+for a quadratic V; ``dense`` builds a matrix's dense form and ``with_entry``
+copies a matrix with one entry changed.  Nothing here imports from todagibbs.
 """
 
 import math
@@ -17,6 +17,17 @@ import numpy as np
 from numpy.polynomial import Polynomial as Poly
 from scipy.integrate import nquad
 from scipy.optimize import brentq, linprog
+
+
+def dense(m):
+    """The dense N x N form of a periodic or plain tridiagonal matrix."""
+    n = m.n
+    out = np.diag(m.diag)
+    idx = np.arange(n - 1)
+    out[idx, idx + 1] = out[idx + 1, idx] = m.offdiag[: n - 1]
+    if m.periodic:
+        out[0, n - 1] = out[n - 1, 0] = m.offdiag[n - 1]
+    return out
 
 
 def with_entry(m, site, kind, value):
@@ -29,10 +40,10 @@ def with_entry(m, site, kind, value):
 def char_poly_eigenvalues(m):
     """Eigenvalues via symbolic determinant expansion plus root bracketing."""
     n = m.n
-    dense = m.to_dense()
-    entries = [[Poly([dense[i, j]]) for j in range(n)] for i in range(n)]
+    a = dense(m)
+    entries = [[Poly([a[i, j]]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        entries[i][i] = Poly([dense[i, i], -1.0])
+        entries[i][i] = Poly([a[i, i], -1.0])
 
     def det(rows, cols):
         if len(rows) == 1:
@@ -48,7 +59,7 @@ def char_poly_eigenvalues(m):
         return total
 
     p = det(list(range(n)), list(range(n)))
-    radius = float(np.max(np.sum(np.abs(dense), axis=1))) + 1.0
+    radius = float(np.max(np.sum(np.abs(a), axis=1))) + 1.0
     xs = np.linspace(-radius, radius, 20001)
     vals = p(xs)
     roots = []

@@ -61,13 +61,22 @@ FREE_ENERGY_CHECK = {"p": 1.0, "potential": {"type": "polynomial", "coeffs": [0,
 
 
 def test_sample_worker_count_does_not_change_digests(tmp_path):
+    # --workers is accepted and reaches nothing, not even the manifest
     sample_cfg = {"source": "toda", "n": 200, "p": 0.5, "replicas": 6, "seed": 3}
     for command, cfg in (("sample", sample_cfg), ("checks", FREE_ENERGY_CHECK)):
         _, out1 = run(tmp_path, command, cfg, out=f"{command}_w1", workers=1)
         _, out2 = run(tmp_path, command, cfg, out=f"{command}_w3", workers=3)
-        d1 = json.load(open(os.path.join(out1, "manifest.json")))["outputs"]
-        d2 = json.load(open(os.path.join(out2, "manifest.json")))["outputs"]
-        assert d1 == d2
+        m1, m2 = read_manifest(out1), read_manifest(out2)
+        assert m1["outputs"] == m2["outputs"]
+        assert "workers" not in m1 and "workers" not in m2
+
+
+def test_workers_is_a_flag_that_is_range_checked_and_not_a_config_key(tmp_path, capsys):
+    rc, _ = run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}, "workers": 2})
+    assert rc == 1 and "solve does not read workers" in capsys.readouterr().err
+    rc, out = run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}}, out="w0", workers=0)
+    assert rc == 1 and "--workers must be a positive integer" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_sample_beta_two_sites(tmp_path):
@@ -226,6 +235,7 @@ def test_mcmc_sample_source(tmp_path):
     rc, out = run(tmp_path, "sample", cfg, out="mcmc")
     assert rc == 0
     summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["sweeps"] == 150
     assert 0.0 <= summary["acceptance"]["offdiag"] <= 1.0
     assert summary["ess"] <= summary["replica_count"]
     # the scales the burn-in adapted from the default (0.5, 0.5), as the chain reports them
@@ -505,6 +515,28 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     # the free_energy check takes a tabulated V, but no periodic matrix has n = 2
     ("checks", {"checks": ["free_energy"], "n": 2, "sweeps": 10,
                 "potential": TABULATED_QUARTIC}, {}),
+    # number keys take JSON numbers, not strings or booleans
+    ("solve", {"p": "1.5", "grid": {"m": 100}}, {}),
+    ("solve", {"p": 1.0, "grid": {"m": 100, "half_width": "8"}}, {}),
+    ("solve", {"p": 1.0, "grid": {"m": 100}, "tol": True}, {}),
+    ("sample", {"source": "toda", "n": 10, "p": True, "replicas": 2}, {}),
+    ("dos", {"p": 1.0, "h_p": "0.01", "grid": {"m": 100}}, {}),
+    # list keys take JSON lists, of numbers where they hold numbers
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+                "proposal_scales": "12"}, {}),
+    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+                "proposal_scales": [True, 0.5]}, {}),
+    ("sample", {"source": "profile", "n": 10, "profile": "12", "replicas": 2}, {}),
+    ("checks", {"checks": {"nu_density": 1}, "grid": {"m": 100}}, {}),
+    # out is a string, even when --out overrides it
+    ("solve", {"p": 1.0, "grid": {"m": 100}, "out": None}, {}),
+    # potential specs hold lists of numbers and a numeric slack
+    ("solve", {"p": 1.0, "grid": {"m": 100},
+               "potential": {"type": "polynomial", "coeffs": "4"}}, {}),
+    ("solve", {"p": 1.0, "grid": {"m": 100},
+               "potential": {**TABULATED_QUARTIC, "slack": "0.5"}}, {}),
+    ("solve", {"p": 1.0, "grid": {"m": 100},
+               "potential": {**TABULATED_QUARTIC, "envelope": [0, 0, 0, 0, "0.05"]}}, {}),
 ])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, out = run(tmp_path, command, cfg, **flags)
@@ -563,6 +595,9 @@ def test_compare_default_bandwidth_with_equal_eigenvalues(tmp_path):
     ("on_grid", 1e-200, "bandwidth"),
     ("on_grid", 1e-30, "bandwidth"),
     ("on_grid", 0, "bandwidth"),
+    # a JSON number, not a string or a boolean
+    ("on_grid", "0.5", "bandwidth"),
+    ("on_grid", True, "bandwidth"),
 ])
 def test_invalid_compare_inputs_write_no_manifest(tmp_path, capsys, case, bandwidth, message):
     if case == "other_grid":

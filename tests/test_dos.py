@@ -62,7 +62,7 @@ def test_dos_step_refinement_second_order():
 
 def test_constant_profile_equals_single_pressure():
     grid = std_grid(1.1)
-    mix = mixture_over_profile(VarianceProfile.constant(1.0), W0, grid, 9)
+    mix = mixture_over_profile(VarianceProfile((1.0, 1.0)), W0, grid, 9)
     single = dos_from_equilibrium(1.0, W0, grid).nu
     assert np.max(np.abs(mix.values - single.values)) <= 1e-8
 
@@ -83,7 +83,7 @@ def test_profile_node_doubling_converged():
 
 def test_mixture_node_count_validation():
     with pytest.raises(ValueError):
-        mixture_over_profile(VarianceProfile.constant(1.0), W0, std_grid(1.1, 400), 4)
+        mixture_over_profile(VarianceProfile((1.0, 1.0)), W0, std_grid(1.1, 400), 4)
 
 
 # -- mixture identity --------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
         # the chain at tilt alpha records (1/N) Tr V = integrand(alpha) after each
         # of 100 post-burn sweeps, whatever thin it is given; the constant series
         # has tau 1, so 100 sweeps are 100 effective samples
-        return [McmcReport([], {"diag": 0.25, "offdiag": 0.75}, 1.0, 0.0, sweeps,
+        return [McmcReport([], {"diag": 0.25, "offdiag": 0.75}, 1.0, 0.0,
                            trace_v_series=np.full(100, integrand(alpha)))
                 for alpha in tilts]
 

@@ -51,14 +51,16 @@ def test_density_csv_round_trip(tmp_path):
 def test_kernel_diagonal_closed_form():
     g = Grid(6.0, 300)
     k = build_log_kernel(g)
-    assert k.entry(7, 7) == pytest.approx(math.log(g.h / 2.0) - 1.0, rel=1e-14)
+    assert k.column[0] == pytest.approx(math.log(g.h / 2.0) - 1.0, rel=1e-14)
 
 
 def test_kernel_symmetry_and_toeplitz():
     g = Grid(6.0, 128)
     k = build_log_kernel(g)
-    assert k.entry(3, 10) == k.entry(10, 3)
-    assert k.entry(3, 10) == k.entry(50, 57)
+    # the matrix of the operator, one unit vector at a time: K[i, j] = column[|i - j|]
+    dense = np.array([k.apply(e) for e in np.eye(g.m)]).T
+    for i, j in ((3, 10), (10, 3), (50, 57)):
+        assert dense[i, j] == pytest.approx(k.column[7], abs=1e-12)
 
 
 def test_kernel_far_entries_match_adaptive_quadrature():
@@ -68,9 +70,9 @@ def test_kernel_far_entries_match_adaptive_quadrature():
     for i, j in ((0, 40), (10, 200), (5, 6)):
         target, _ = quad(lambda y: np.log(abs(g.x[i] - y)),
                          g.x[j] - h / 2, g.x[j] + h / 2, epsabs=1e-13)
-        assert k.entry(i, j) == pytest.approx(target / h, abs=1e-10)
+        assert k.column[abs(i - j)] == pytest.approx(target / h, abs=1e-10)
         dist = abs(g.x[i] - g.x[j])
-        assert abs(k.entry(i, j) - math.log(dist)) <= h * h / (24 * dist * dist) * 1.5
+        assert abs(k.column[abs(i - j)] - math.log(dist)) <= h * h / (24 * dist * dist) * 1.5
 
 
 def test_kernel_apply_matches_dense():
@@ -78,7 +80,7 @@ def test_kernel_apply_matches_dense():
     k = build_log_kernel(g)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(96)
-    dense = np.array([[k.entry(i, j) for j in range(96)] for i in range(96)])
+    dense = np.array([[k.column[abs(i - j)] for j in range(96)] for i in range(96)])
     assert np.allclose(k.apply(v), dense @ v, atol=1e-11)
 
 
@@ -202,7 +204,7 @@ def test_grid_refinement_second_order():
     grid = base
     for _ in range(3):
         m2.append(solve_equilibrium(1.0, W0, grid, tol=1e-10).density.moment(2))
-        grid = grid.refine()
+        grid = Grid(grid.half_width, 2 * grid.m)
     d1, d2 = abs(m2[1] - m2[0]), abs(m2[2] - m2[1])
     assert d2 <= d1 / 2.5 + 1e-12
 

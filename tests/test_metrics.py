@@ -156,7 +156,7 @@ def test_half_norm_pairing_inequality():
 
 def test_refinement_stability_of_distances():
     coarse = Grid(8.0, 800)
-    fine = coarse.refine()
+    fine = Grid(coarse.half_width, 2 * coarse.m)
     vals = {}
     for g in (coarse, fine):
         a = gaussian_density(g, 0.4, 1.0)

@@ -98,3 +98,22 @@ def test_round_trip_dict():
                                   envelope_coeffs=[0, 0, 0.2])):
         again = Potential.from_dict(v.to_dict())
         assert again == v
+
+
+# V = x^2 / 2 on [-1, 1], with x^2 / 2 as its envelope
+TABLE = {"type": "tabulated", "x": [-1.0, 0.0, 1.0], "v": [0.5, 0.0, 0.5],
+         "envelope": [0, 0, 0.5]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "polynomial", "coeffs": "4"},
+    {"type": "polynomial", "coeffs": [0, 0, True]},
+    {**TABLE, "x": ["-1", "0", "1"]},
+    {**TABLE, "envelope": 0.5},
+    {**TABLE, "slack": "0.1"},
+    {**TABLE, "slack": True},
+])
+def test_from_dict_takes_lists_of_numbers_and_a_numeric_slack(spec):
+    # each of these used to be read by numpy's casts: "4" as V = 4, True as 1
+    with pytest.raises(ValueError, match="must be a"):
+        Potential.from_dict(spec)
