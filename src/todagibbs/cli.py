@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 # One OpenBLAS thread per process, unless the user chose a thread count.  No
 # BLAS call here is large enough to use a second thread, and the worker that
@@ -35,22 +36,17 @@ if "OMP_NUM_THREADS" not in os.environ:
 import numpy as np
 
 from . import __version__
-from .dos import (CONVEXITY_PRESSURES, LIPSCHITZ_DELTAS, LIPSCHITZ_PRESSURES,
-                  DosStepError, beta_mixture_check, d_lipschitz_sweep,
-                  dos_from_equilibrium, fc_convexity_check,
-                  free_energy_relation_check, mixture_over_profile,
-                  nu_density_relation_check)
-from .equilibrium import (DomainTooSmallError, Grid, GridDensity,
-                          NonConvergedError, domain_auto, solve_equilibrium)
-from .matrices import EmpiricalSpectralMeasure, eigenvalues, matrix_text, trace_power
-from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
-from .potentials import NonConfiningError, Potential
-from .sampling import (SeededStream, VarianceProfile, mcmc_toda, replica_map,
-                       sample_beta_matrix, sample_profile_matrix, sample_toda_matrix)
+from .potentials import Potential
+
+if TYPE_CHECKING:
+    from .equilibrium import Grid
+    from .sampling import VarianceProfile
 
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
+
+    exit_code = 1  # main() returns it
 
 
 # -- config values -----------------------------------------------------------
@@ -120,6 +116,8 @@ def _reject_unread(cfg: dict, what: str, keys) -> None:
 
 
 def _profile_from_config(cfg: dict) -> VarianceProfile:
+    from .sampling import VarianceProfile
+
     return _value(cfg, "profile", None, lambda raw: VarianceProfile(_list(raw, _number)),
                   lambda _: True, "a list of positive variances")
 
@@ -135,6 +133,8 @@ def _potential_from_config(cfg: dict) -> Potential:
 
 
 def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
+    from .equilibrium import Grid, domain_auto
+
     gspec = cfg.get("grid", {})
     if not isinstance(gspec, dict):
         raise ConfigError(f"grid must be an object, got {gspec!r}")
@@ -150,7 +150,7 @@ def _grid_from_config(cfg: dict, p: float, w: Potential) -> Grid:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class RunDir:
@@ -213,16 +213,30 @@ SAMPLE_KEYS = {
     "profile": ("n", "profile", "replicas"),
     "mcmc": ("n", "p", "potential", "sweeps", "thin", "proposal_scales", "dump_samples"),
 }
+# the largest pressure, or profile value, that sample accepts: the fourth moment
+# of the spectrum grows as p^2 and overflows a float near p = 1e154
+MAX_PRESSURE = 1e100
 
 
 def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
+    from .matrices import eigenvalues, matrix_text, trace_power
+    from .sampling import (SeededStream, mcmc_toda, replica_map, sample_beta_matrix,
+                           sample_profile_matrix, sample_toda_matrix)
+
     source = _value(cfg, "source", None, str,
                     lambda s: s in SAMPLE_KEYS, "one of toda, beta, profile, mcmc")
     _reject_unread(cfg, f"source {source}", ("source", *SAMPLE_KEYS[source], *COMMON_KEYS))
     # beta matrices are plain tridiagonal; the others are periodic
     n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
     # the pressure, or the variance profile that replaces it
-    p = _profile_from_config(cfg) if source == "profile" else _positive_float(cfg, "p")
+    if source == "profile":
+        p = _profile_from_config(cfg)
+        if p.maximum > MAX_PRESSURE:
+            raise ConfigError(f"profile must be a list of variances up to {MAX_PRESSURE:g}, "
+                              f"got a largest of {p.maximum!r}")
+    else:
+        p = _value(cfg, "p", None, _number, lambda v: 0 < v <= MAX_PRESSURE,
+                   f"a positive number up to {MAX_PRESSURE:g}")
     if source == "mcmc":
         potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
@@ -276,6 +290,8 @@ def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, seed: int, out_dir: str) -> int:
+    from .equilibrium import NonConvergedError, solve_equilibrium
+
     _reject_unread(cfg, "solve", ("p", "potential", "grid", "tol", "max_iter", *COMMON_KEYS))
     p = _value(cfg, "p", None, _number, lambda v: 0 <= v < math.inf, "a nonnegative number")
     w = _potential_from_config(cfg)
@@ -300,6 +316,8 @@ def cmd_solve(cfg: dict, seed: int, out_dir: str) -> int:
 
 
 def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
+    from .dos import dos_from_equilibrium, mixture_over_profile
+
     mode = "profile" if "profile" in cfg else "single"
     mode_keys = ("profile", "n_nodes") if mode == "profile" else ("p", "h_p")
     _reject_unread(cfg, f"dos in {mode} mode",
@@ -339,6 +357,9 @@ def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
 
 def _load_csv(cfg: dict, key: str):
     """An eigenvalue list, or a density when the file carries an 'x,rho' header."""
+    from .equilibrium import GridDensity
+    from .matrices import EmpiricalSpectralMeasure
+
     path = _value(cfg, key, None, lambda raw: raw, lambda v: isinstance(v, str), "a file path")
     try:
         with open(path) as fh:
@@ -352,6 +373,9 @@ def _load_csv(cfg: dict, key: str):
 
 
 def cmd_compare(cfg: dict, seed: int, out_dir: str) -> int:
+    from .equilibrium import GridDensity
+    from .metrics import bl_bv_distance, ks_distance, log_energy_distance, smooth_empirical
+
     _reject_unread(cfg, "compare", ("eigenvalues_csv", "density_csv", "bandwidth", *COMMON_KEYS))
     empirical = _load_csv(cfg, "eigenvalues_csv")
     density = _load_csv(cfg, "density_csv")
@@ -407,6 +431,10 @@ CHECK_KEYS = {
 
 
 def cmd_checks(cfg: dict, seed: int, out_dir: str) -> int:
+    from .dos import (CONVEXITY_PRESSURES, LIPSCHITZ_DELTAS, LIPSCHITZ_PRESSURES,
+                      beta_mixture_check, d_lipschitz_sweep, fc_convexity_check,
+                      free_energy_relation_check, nu_density_relation_check)
+
     names = tuple(CHECK_KEYS)
     which = _value(cfg, "checks", list(names), _list,
                    lambda chosen: bool(chosen) and all(name in names for name in chosen),
@@ -482,7 +510,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or encoding
         print(f"error: config={args.config} reason={exc}", file=sys.stderr)
         return 1
-    # any other exception is a bug and keeps its traceback
+    # an exception that carries no exit_code is a bug and keeps its traceback
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
@@ -494,12 +522,11 @@ def main(argv=None) -> int:
         out = _value(cfg, "out", ".", lambda raw: raw, lambda v: isinstance(v, str) and v != "",
                      "a directory path")
         return _COMMANDS[args.command](cfg, seed, args.out if args.out is not None else out)
-    except (ConfigError, NonConfiningError, DomainTooSmallError) as exc:
+    except Exception as exc:
+        if not hasattr(exc, "exit_code"):
+            raise
         print(f"error: command={args.command} reason={exc}", file=sys.stderr)
-        return 1
-    except (NonConvergedError, DosStepError) as exc:
-        print(f"error: command={args.command} reason={exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def script_entry() -> None:

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Grid, GridDensity, build_log_kernel, domain_auto, solve_equilibrium
-from .metrics import ks_distance, log_energy_distance
 from .potentials import Potential
-from .sampling import SeededStream, _mcmc_chains, integrated_autocorr_time
 
 
 # largest clipped negative mass a density of states may carry
@@ -52,6 +50,8 @@ CONVEXITY_FLOOR = -1e-6         # smallest second difference of F_C
 
 class DosStepError(ValueError):
     """Differencing produced material negative mass; refine h_P or the grid."""
+
+    exit_code = 2  # the command line's status for it: numerical non-convergence
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
     Quadrature nodes below MIXTURE_S_MIN are clamped there; the solver
     conditioning degrades toward P = 0 where both sides approach exp(-W)/Z anyway.
     """
+    from .metrics import ks_distance
+
     mixture = mixture_over_profile(lambda s: max(float(s), MIXTURE_S_MIN) * p, w, grid,
                                    n_nodes, tol=tol)
     mu = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).density
@@ -160,6 +162,8 @@ def free_energy_relation_check(p: float, w: Potential, n: int, mc_sweeps: int,
     For V = 0 both sides vanish, so no chain and no solve runs (the inputs
     are still validated) and min_ess is None.
     """
+    from .sampling import SeededStream, _mcmc_chains, integrated_autocorr_time
+
     if n_alpha < 8:
         raise ValueError("need at least 8 integration nodes")
     if replicas < 1:
@@ -259,6 +263,8 @@ def d_lipschitz_sweep(grid: Grid, w: Potential = Potential.zero()) -> dict:
     P runs over LIPSCHITZ_PRESSURES and delta over LIPSCHITZ_DELTAS; each
     solve runs to tol 1e-9.
     """
+    from .metrics import log_energy_distance
+
     ratios = {}
     for p in LIPSCHITZ_PRESSURES:
         base = solve_equilibrium(p, w, grid, tol=1e-9, raise_on_failure=True).density

@@ -42,9 +42,13 @@ _MAX_HALF_WIDTH = 1e9
 class DomainTooSmallError(ValueError):
     """Converged density does not vanish at the grid boundary."""
 
+    exit_code = 1  # the command line's status for it: invalid input
+
 
 class NonConvergedError(RuntimeError):
     """Fixed-point iteration hit max_iter (raise_on_failure=False returns the partial solution)."""
+
+    exit_code = 2  # the command line's status for it: numerical non-convergence
 
 
 @dataclass(frozen=True)

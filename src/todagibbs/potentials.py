@@ -27,6 +27,8 @@ import numpy as np
 class NonConfiningError(ValueError):
     """W = x^2/2 + V grows too slowly for ``domain_auto`` to bound its tail."""
 
+    exit_code = 1  # the command line's status for it: invalid input
+
 
 def _poly_eval(coeffs: tuple[float, ...], x):
     # ascending powers, evaluated with Horner

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import todagibbs
-from todagibbs.cli import main
-from todagibbs.equilibrium import domain_auto
+from todagibbs.cli import ConfigError, _json_text, main
+from todagibbs.dos import DosStepError
+from todagibbs.equilibrium import DomainTooSmallError, NonConvergedError, domain_auto
+from todagibbs.potentials import NonConfiningError
 
 
 def write_config(tmp_path, name, cfg):
@@ -197,7 +199,7 @@ def test_checks_auto_grid_holds_the_checks_pressures(tmp_path, monkeypatch):
         asked.append(p)
         return domain_auto(p, w)
 
-    monkeypatch.setattr("todagibbs.cli.domain_auto", recording)
+    monkeypatch.setattr("todagibbs.equilibrium.domain_auto", recording)
     rc, _ = run(tmp_path, "checks", {"p": 1.0, "grid": {"m": 200}, "checks": ["fc_convexity"]})
     assert rc == 0
     assert max(asked) >= 2.4
@@ -315,6 +317,37 @@ def test_non_finite_slack_exits_1_before_the_run_opens(tmp_path, capsys, command
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("cfg", [
+    {"source": "toda", "n": 20, "p": 1e300, "replicas": 2},
+    {"source": "beta", "n": 20, "p": 1e300, "replicas": 2},
+    {"source": "mcmc", "n": 12, "p": 1e300, "sweeps": 10},
+    {"source": "profile", "n": 20, "profile": [1e300, 1.0], "replicas": 2},
+], ids=lambda cfg: cfg["source"])
+def test_sample_pressure_that_overflows_the_moments_exits_1_before_the_run_opens(
+        tmp_path, capsys, cfg):
+    # the fourth moment grows as p^2; it used to reach summary.json as Infinity or NaN
+    rc, out = run(tmp_path, "sample", cfg)
+    assert rc == 1 and "up to 1e+100" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("source", ["toda", "beta", "mcmc"])
+def test_sample_at_the_largest_pressure_writes_strict_json(tmp_path, source):
+    cfg = {"source": source, "n": 20, "p": 1e100,
+           **({"sweeps": 10} if source == "mcmc" else {"replicas": 2})}
+    rc, out = run(tmp_path, "sample", cfg)
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    for name in ("summary.json", "manifest.json"):
+        with open(os.path.join(out, name)) as fh:
+            json.load(fh, parse_constant=reject)
+    with pytest.raises(ValueError):
+        _json_text({"moment": math.inf})
+
+
 def test_dos_step_below_rounding_exits_2_and_marks_the_manifest_failed(tmp_path, capsys):
     # at h_p = 1e-12 the difference quotient of the two solves is rounding noise
     rc, out = run(tmp_path, "dos", {"p": 1.0, "h_p": 1e-12, "grid": {"m": 200}})
@@ -386,6 +419,36 @@ print(json.dumps(loaded))
                           env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, "scipy.linalg._flapack"]] * 4
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # importing the CLI loads potentials alone; each command imports the
+    # modules it runs when it runs
+    script = """
+import json, sys
+from todagibbs.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("todagibbs."))]))
+"""
+
+    def loaded(command=None, cfg=None):
+        argv = [] if command is None else [command, "--config", write_config(
+            tmp_path, f"{command}.json", cfg), "--out", str(tmp_path / command)]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=source_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        return [m[len("todagibbs."):] for m in modules]
+
+    assert loaded() == ["cli", "potentials"]
+    assert loaded("sample", {"source": "toda", "n": 50, "p": 1.0, "replicas": 2}) == [
+        "cli", "matrices", "potentials", "sampling"]
+    assert loaded("dos", {"p": 1.0, "grid": {"m": 200}}) == [
+        "cli", "dos", "equilibrium", "potentials"]
+    assert loaded("compare", {"eigenvalues_csv": str(tmp_path / "sample" / "eigenvalues.csv"),
+                              "density_csv": str(tmp_path / "dos" / "nu.csv")}) == [
+        "cli", "equilibrium", "matrices", "metrics", "potentials"]
 
 
 def run_without_thread_vars(script, **preset):
@@ -559,11 +622,27 @@ def test_library_value_error_is_not_relabelled(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("library bug")
 
-    monkeypatch.setattr("todagibbs.cli.solve_equilibrium", broken)
+    monkeypatch.setattr("todagibbs.equilibrium.solve_equilibrium", broken)
     with pytest.raises(ValueError, match="library bug"):
         run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}})
     manifest = read_manifest(str(tmp_path / "out"))
     assert manifest["status"] == "failed" and manifest["error"] == "ValueError: library bug"
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 1), (NonConfiningError, 1), (DomainTooSmallError, 1),
+    (NonConvergedError, 2), (DosStepError, 2),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_each_error_class_reaches_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr("todagibbs.equilibrium.solve_equilibrium", failing)
+    rc, out = run(tmp_path, "solve", {"p": 1.0, "grid": {"m": 100}})
+    err = capsys.readouterr().err
+    assert rc == code and "error: command=solve reason=injected" in err
+    manifest = read_manifest(out)
+    assert manifest["status"] == "failed" and manifest["error"] == f"{error.__name__}: injected"
 
 
 def solved_density(tmp_path, m=200, out="ref"):

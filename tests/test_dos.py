@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from todagibbs import dos
+from todagibbs import dos, sampling
 from todagibbs import (Grid, McmcReport, Potential, VarianceProfile,
                        beta_mixture_check, d_lipschitz_sweep,
                        domain_auto, dos_from_equilibrium, fc_convexity_check,
@@ -168,7 +168,7 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
                            trace_v_series=np.full(100, integrand(alpha)))
                 for alpha in tilts]
 
-    monkeypatch.setattr(dos, "_mcmc_chains", chains)
+    monkeypatch.setattr(sampling, "_mcmc_chains", chains)
     v = Potential.polynomial([0, 0, 0, 0, 0.1])
     rep = free_energy_relation_check(1.0, v, n=10, mc_sweeps=10)
     assert rep["stderr"] == 0.0
@@ -180,13 +180,13 @@ def test_free_energy_alpha_quadrature_exact_for_polynomials(monkeypatch):
 def test_free_energy_check_holds_one_sample_and_reads_every_post_burn_sweep(monkeypatch):
     # the check reads only each chain's running Tr V, so a chain keeps one
     # sample, and a node's mean averages its chains' whole post-burn series
-    reports, real = [], dos._mcmc_chains
+    reports, real = [], sampling._mcmc_chains
 
     def recording(*args):
         reports.extend(real(*args))
         return reports
 
-    monkeypatch.setattr(dos, "_mcmc_chains", recording)
+    monkeypatch.setattr(sampling, "_mcmc_chains", recording)
     rep = free_energy_relation_check(1.0, Potential.polynomial([0, 0, 0, 0, 0.1]), n=20,
                                      mc_sweeps=100, seed=2, replicas=2)
     assert len(reports) == 16 and all(len(r.samples) <= 1 for r in reports)
