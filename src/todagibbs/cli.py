@@ -7,10 +7,18 @@ overrides, writes its outputs atomically and records a manifest with the
 resolved config and per-file SHA-256 digests.  Reruns with the same config and
 seed produce identical digests.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  Config
-values are validated up front, before the run directory is opened; any other
-exception is a bug and propagates with its traceback.  A run that raises after
-its directory opens leaves its manifest at status "failed".
+Importing this module loads numpy and ``potentials`` and no other module of
+the package.  Each command imports the modules it runs when it runs, so a
+process compiles and loads only what its command needs: ``sample`` never loads
+``dos``, ``equilibrium`` or ``metrics``, and a single-pressure ``dos`` never
+loads ``sampling``, ``matrices`` or ``metrics``.
+
+Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.  An
+exception class that a run may raise on bad input or a failed solve carries
+its code as ``exit_code``, and ``main`` returns it.  Config values are
+validated up front, before the run directory is opened; an exception without
+``exit_code`` is a bug and propagates with its traceback.  A run that raises
+after its directory opens leaves its manifest at status "failed".
 """
 
 from __future__ import annotations
@@ -214,7 +222,7 @@ SAMPLE_KEYS = {
     "mcmc": ("n", "p", "potential", "sweeps", "thin", "proposal_scales", "dump_samples"),
 }
 # the largest pressure, or profile value, that sample accepts: the fourth moment
-# of the spectrum grows as p^2 and overflows a float near p = 1e154
+# of the spectrum grows as p^2 and overflows a float above about p = 1e150
 MAX_PRESSURE = 1e100
 
 

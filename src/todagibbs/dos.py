@@ -20,6 +20,9 @@ used here is  F_C(V) - F_C(0) = -(inf F[V] - inf F[0])  with F the functional
 minimized by the equilibrium solver.  Its pressure derivative needs no
 differencing: d/dP ( P inf F ) is the solver's Euler-Lagrange multiplier
 lambda, so  d/dP ( P [F_C(V) - F_C(0)] ) = lambda_0 - lambda_V  at P itself.
+
+The checks import ``metrics`` and ``sampling`` when they run, so a density of
+states on its own loads neither.
 """
 
 from __future__ import annotations
