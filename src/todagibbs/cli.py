@@ -34,8 +34,9 @@ from typing import TYPE_CHECKING
 
 # One OpenBLAS thread per process, unless the user chose a thread count.  No
 # BLAS call here is large enough to use a second thread, and the worker that
-# each OpenBLAS copy (numpy's and scipy's) starts at load spins while the
-# interpreter imports.  Set before numpy loads; the package itself sets nothing.
+# numpy's OpenBLAS starts at load spins while the interpreter imports; the
+# replica spectra of ``sample`` run on threads of their own instead.  Set
+# before numpy loads; the package itself sets nothing.
 # The manifest records the values a run ran with.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if "OMP_NUM_THREADS" not in os.environ:
@@ -123,11 +124,28 @@ def _reject_unread(cfg: dict, what: str, keys) -> None:
                           f"allowed keys: {', '.join(sorted(keys))}")
 
 
+# the largest pressure, or profile value, that a command accepts: the fourth
+# moment of a sampled spectrum grows as p^2 and overflows a float above about
+# p = 1e150; an equilibrium solve fails well below the bound (``domain_auto``)
+MAX_PRESSURE = 1e100
+
+
+def _pressure(cfg: dict, default=None, zero: bool = False) -> float:
+    """cfg["p"]: a positive number, or zero too when ``zero``, up to MAX_PRESSURE."""
+    return _value(cfg, "p", default, _number,
+                  lambda v: (0 <= v if zero else 0 < v) and v <= MAX_PRESSURE,
+                  f"a {'nonnegative' if zero else 'positive'} number up to {MAX_PRESSURE:g}")
+
+
 def _profile_from_config(cfg: dict) -> VarianceProfile:
     from .sampling import VarianceProfile
 
-    return _value(cfg, "profile", None, lambda raw: VarianceProfile(_list(raw, _number)),
-                  lambda _: True, "a list of positive variances")
+    profile = _value(cfg, "profile", None, lambda raw: VarianceProfile(_list(raw, _number)),
+                     lambda _: True, "a list of positive variances")
+    if profile.maximum > MAX_PRESSURE:
+        raise ConfigError(f"profile must be a list of variances up to {MAX_PRESSURE:g}, "
+                          f"got a largest of {profile.maximum!r}")
+    return profile
 
 
 def _potential_from_config(cfg: dict) -> Potential:
@@ -221,13 +239,10 @@ SAMPLE_KEYS = {
     "profile": ("n", "profile", "replicas"),
     "mcmc": ("n", "p", "potential", "sweeps", "thin", "proposal_scales", "dump_samples"),
 }
-# the largest pressure, or profile value, that sample accepts: the fourth moment
-# of the spectrum grows as p^2 and overflows a float above about p = 1e150
-MAX_PRESSURE = 1e100
 
 
 def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
-    from .matrices import eigenvalues, matrix_text, trace_power
+    from .matrices import matrix_text, spectra, trace_power
     from .sampling import (SeededStream, mcmc_toda, replica_map, sample_beta_matrix,
                            sample_profile_matrix, sample_toda_matrix)
 
@@ -237,14 +252,7 @@ def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
     # beta matrices are plain tridiagonal; the others are periodic
     n = _positive_int(cfg, "n", minimum=2 if source == "beta" else 3)
     # the pressure, or the variance profile that replaces it
-    if source == "profile":
-        p = _profile_from_config(cfg)
-        if p.maximum > MAX_PRESSURE:
-            raise ConfigError(f"profile must be a list of variances up to {MAX_PRESSURE:g}, "
-                              f"got a largest of {p.maximum!r}")
-    else:
-        p = _value(cfg, "p", None, _number, lambda v: 0 < v <= MAX_PRESSURE,
-                   f"a positive number up to {MAX_PRESSURE:g}")
+    p = _profile_from_config(cfg) if source == "profile" else _pressure(cfg)
     if source == "mcmc":
         potential = _potential_from_config(cfg)
         sweeps = _positive_int(cfg, "sweeps")
@@ -273,12 +281,12 @@ def cmd_sample(cfg: dict, seed: int, out_dir: str) -> int:
             draw = {"toda": sample_toda_matrix, "beta": sample_beta_matrix,
                     "profile": sample_profile_matrix}[source]
             samples = replica_map(lambda stream: draw(stream, n, p), replicas, seed)
-        spectra = [eigenvalues(sample).values for sample in samples]
+        measures = spectra(samples)
         t2 = np.array([trace_power(sample, 2) for sample in samples])
 
         run.write("eigenvalues.csv", "replica,lambda\n" + "".join(
-            f"{k},{v:.17g}\n" for k, vals in enumerate(spectra) for v in vals))
-        allvals = np.concatenate(spectra)
+            f"{k},{v:.17g}\n" for k, measure in enumerate(measures) for v in measure.values))
+        allvals = np.concatenate([measure.values for measure in measures])
         run.write("summary.json", {
             "source": source,
             "n": n,
@@ -301,7 +309,7 @@ def cmd_solve(cfg: dict, seed: int, out_dir: str) -> int:
     from .equilibrium import NonConvergedError, solve_equilibrium
 
     _reject_unread(cfg, "solve", ("p", "potential", "grid", "tol", "max_iter", *COMMON_KEYS))
-    p = _value(cfg, "p", None, _number, lambda v: 0 <= v < math.inf, "a nonnegative number")
+    p = _pressure(cfg, zero=True)
     w = _potential_from_config(cfg)
     grid = _grid_from_config(cfg, max(p, 0.5), w)
     tol = _positive_float(cfg, "tol", 1e-8)
@@ -336,7 +344,7 @@ def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
         grid = _grid_from_config(cfg, profile.maximum + 0.5, w)
         n_nodes = _positive_int(cfg, "n_nodes", 15, minimum=5)
     else:
-        p = _positive_float(cfg, "p")
+        p = _pressure(cfg)
         grid = _grid_from_config(cfg, p + 0.5, w)
         h_p = None
         if cfg.get("h_p") is not None:
@@ -449,7 +457,7 @@ def cmd_checks(cfg: dict, seed: int, out_dir: str) -> int:
                    f"a non-empty list of check names from {', '.join(names)}")
     keys = {"p", "potential", "checks", *COMMON_KEYS}.union(*(CHECK_KEYS[c] for c in which))
     _reject_unread(cfg, f"checks {', '.join(which)}", keys)
-    p = _positive_float(cfg, "p", 1.0)
+    p = _pressure(cfg, 1.0)
     w = _potential_from_config(cfg)
     # an auto grid is sized for the largest pressure any selected check solves at
     top = {"d_lipschitz": max(LIPSCHITZ_PRESSURES) + max(LIPSCHITZ_DELTAS),

@@ -340,7 +340,7 @@ def domain_auto(p: float, w: Potential) -> float:
     while excess(length) > 0:
         length *= 2.0
         if length > _MAX_HALF_WIDTH:
-            raise NonConfiningError("confinement too weak to bound the tail")
+            raise NonConfiningError(f"confinement too weak to bound the tail at pressure {p:g}")
     if length == start:
         return start
     lo, hi = length / 2.0, length

@@ -22,11 +22,10 @@ modified sites of a whole colour class of the Metropolis chain at once.
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import os
-import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +116,7 @@ def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:
     perm[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, n), order="F")
     ab[0] = m.diag[perm]
     # bond i couples sites i and i + 1 (mod N) with weight offdiag[i]
     nxt = np.roll(inv, -1)
@@ -125,38 +124,34 @@ def _folded_band(m: PeriodicJacobiMatrix) -> np.ndarray:
     return ab
 
 
+# LAPACK dsbevd in the BLAS library that numpy links, with the width of its
+# integer arguments: numpy's wheels bundle OpenBLAS built for 64-bit integers
+# with a ``scipy_`` prefix; other builds export the plain Fortran names
+_DSBEVD_SYMBOLS = (("scipy_dsbevd_64_", ctypes.c_int64), ("dsbevd_64_", ctypes.c_int64),
+                   ("dsbevd_", ctypes.c_int32))
+
+
 @functools.cache
 def _dsbevd():
-    """LAPACK ``dsbevd`` from scipy's compiled wrapper module ``scipy.linalg._flapack``.
+    """LAPACK ``dsbevd`` and its integer type, from the library numpy already loaded.
 
-    This is the function object ``scipy.linalg.lapack.dsbevd``.  Importing
-    the ``scipy.linalg`` package takes about 0.25 s, nearly all of it
-    modules the eigensolve never uses; the wrapper module alone loads in a
-    few milliseconds.  So it is loaded from scipy's install directory
-    without running any package ``__init__``, once per process, and
-    registered under its own name so that a later ``import scipy.linalg``
-    reuses it; a module already imported is reused the same way.
+    The symbol is looked up through numpy's LAPACK extension module, whose
+    dependencies hold the BLAS library, so nothing new is loaded.  A
+    ``ctypes.CDLL`` call releases the GIL, so threads eigensolve in parallel.
     """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        if scipy is None:
-            raise ImportError(f"the eigensolve needs LAPACK dsbevd from {name}; "
-                              "scipy is not installed")
-        directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
-        spec = importlib.machinery.FileFinder(
-            directory, (importlib.machinery.ExtensionFileLoader,
-                        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
-        if spec is None:
-            raise ImportError(f"the eigensolve needs LAPACK dsbevd from {name}, "
-                              f"which is not in {directory}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    if not hasattr(module, "dsbevd"):
-        raise ImportError(f"{module!r} has no LAPACK dsbevd")
-    return module.dsbevd
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name, int_type in _DSBEVD_SYMBOLS:
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            continue
+        # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK,
+        # INFO, then the hidden lengths of the two strings
+        fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+        fn.restype = None
+        return fn, int_type
+    raise ImportError("the eigensolve needs LAPACK dsbevd, but numpy's BLAS library exports "
+                      f"none of {', '.join(name for name, _ in _DSBEVD_SYMBOLS)}")
 
 
 def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
@@ -167,16 +162,55 @@ def eigenvalues(m: PeriodicJacobiMatrix) -> EmpiricalSpectralMeasure:
     (``_folded_band``); the permutation is a similarity, so the spectrum is
     unchanged.  Eigenvalues only, O(N^2).
     """
+    n = m.n
     if m.periodic:
         ab = _folded_band(m)
     else:
-        ab = np.zeros((2, m.n))
+        ab = np.zeros((2, n), order="F")
         ab[0] = m.diag
         ab[1, :-1] = m.offdiag
-    vals, _, info = _dsbevd()(ab, compute_v=0, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsbevd failed with info = {info}")
+    dsbevd, int_type = _dsbevd()
+    kd = ab.shape[0] - 1
+    # N, KD, LDAB, LDZ, LWORK, LIWORK, INFO, IWORK: eigenvalues only, lower band
+    ints = (int_type * 8)(n, kd, kd + 1, 1, 2 * n, 1, 0, 0)
+    n_, kd_, ldab, ldz, lwork, liwork, info, iwork = (
+        ctypes.addressof(ints) + k * ctypes.sizeof(int_type) for k in range(8))
+    vals, z, work = np.empty(n), np.empty(1), np.empty(2 * n)
+    dsbevd(b"N", b"L", n_, kd_, ab.ctypes.data, ldab, vals.ctypes.data, z.ctypes.data, ldz,
+           work.ctypes.data, lwork, iwork, liwork, info, 1, 1)
+    if ints[6] != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsbevd failed with info = {ints[6]}")
     return EmpiricalSpectralMeasure(vals)
+
+
+def spectra(ms) -> list[EmpiricalSpectralMeasure]:
+    """``eigenvalues`` of each matrix, in input order, on min(len, cpu count) threads.
+
+    The calling thread and k - 1 new ones each take every k-th matrix; the
+    LAPACK call releases the GIL, so the solves run in parallel.  An error
+    in any thread is raised here once all have finished.
+    """
+    ms = list(ms)
+    k = max(min(len(ms), os.cpu_count() or 1), 1)
+    out: list = [None] * len(ms)
+    errors: list = []
+
+    def solve(start):
+        try:
+            for i in range(start, len(ms), k):
+                out[i] = eigenvalues(ms[i])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solve, args=(t,)) for t in range(1, k)]
+    for thread in threads:
+        thread.start()
+    solve(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _windows(diag: np.ndarray, off: np.ndarray, periodic: bool, sites: np.ndarray,

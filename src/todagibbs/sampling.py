@@ -404,7 +404,9 @@ def _mcmc_chains(streams, n: int, p: float, v: Potential, tilts, sweeps: int,
 def replica_map(fn, replicas: int, master_seed: int, workers: int = 1) -> list:
     """Run fn(stream) for stream ids 0..replicas-1, serially in id order.
 
-    ``workers`` is ignored (the LAPACK wrappers hold the GIL, so threads gain
-    nothing); it stays only because the benchmark harness passes and binds it.
+    ``workers`` is ignored: the draws hold the GIL, so threads would gain
+    nothing, and the eigensolves run on threads of their own
+    (``matrices.spectra``).  It stays only because the benchmark harness
+    passes and binds it.
     """
     return [fn(SeededStream(master_seed, i)) for i in range(replicas)]

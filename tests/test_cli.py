@@ -331,6 +331,27 @@ def test_sample_pressure_that_overflows_the_moments_exits_1_before_the_run_opens
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("dos", {"p": 1e200, "grid": {"m": 100}},
+     "p must be a positive number up to 1e+100, got 1e+200"),
+    ("dos", {"profile": [1e200, 1.0], "grid": {"m": 100}},
+     "profile must be a list of variances up to 1e+100, got a largest of 1e+200"),
+    ("solve", {"p": 1e200, "grid": {"m": 100}},
+     "p must be a nonnegative number up to 1e+100, got 1e+200"),
+    ("checks", {"p": 1e200, "checks": ["nu_density"], "grid": {"m": 100}},
+     "p must be a positive number up to 1e+100, got 1e+200"),
+    # within the bound, but the auto grid would need a half-width above 1e9
+    ("dos", {"p": 1e20, "grid": {"m": 100}},
+     "confinement too weak to bound the tail at pressure 1e+20"),
+], ids=["dos", "dos_profile", "solve", "checks", "dos_auto_grid"])
+def test_pressure_too_large_exits_1_naming_the_pressure(tmp_path, capsys, command, cfg,
+                                                         message):
+    # V = 0 confines at every pressure, so the message names the pressure
+    rc, out = run(tmp_path, command, cfg)
+    assert rc == 1 and message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 @pytest.mark.parametrize("source", ["toda", "beta", "mcmc"])
 def test_sample_at_the_largest_pressure_writes_strict_json(tmp_path, source):
     cfg = {"source": source, "n": 20, "p": 1e100,
@@ -366,59 +387,43 @@ def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys)
 
 
 def test_cli_import_and_dos_compare_runs_load_no_scipy(tmp_path):
-    # scipy.linalg is most of the CLI's start-up, and only the eigensolve of
-    # `sample` needs it; no command starts a process pool, whatever --workers;
-    # `compare` merges breakpoints without np.unique, which imports numpy.ma
+    # no command loads scipy: the eigensolve calls LAPACK in numpy's own BLAS
+    # library, a tabulated V eigensolves inside the chain too; no command starts
+    # a process pool, whatever --workers; `compare` merges breakpoints without
+    # np.unique, which imports numpy.ma
     eig = tmp_path / "eig.csv"
     eig.write_text("replica,lambda\n" + "".join(
         f"0,{x:.17g}\n" for x in np.linspace(-2.0, 2.0, 300)))
-    dos_cfg = write_config(tmp_path, "dos.json", {"p": 1.0, "grid": {"m": 200}})
-    cmp_cfg = write_config(tmp_path, "cmp.json", {
-        "eigenvalues_csv": str(eig), "density_csv": str(tmp_path / "nu" / "nu.csv")})
-    checks_cfg = write_config(tmp_path, "checks.json", FREE_ENERGY_CHECK)
+    configs = [
+        ("sample", {"source": "toda", "n": 50, "p": 1.0, "replicas": 3}),
+        ("sample", {"source": "beta", "n": 50, "p": 1.0, "replicas": 3}),
+        ("sample", {"source": "profile", "n": 50, "profile": [0.5, 2.0], "replicas": 3}),
+        ("sample", {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20, "potential": QUARTIC}),
+        ("sample", {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20,
+                    "potential": TABULATED_QUARTIC}),
+        ("solve", {"p": 1.0, "grid": {"m": 200}}),
+        ("dos", {"p": 1.0, "grid": {"m": 200}, "out": str(tmp_path / "nu")}),
+        ("compare", {"eigenvalues_csv": str(eig), "density_csv": str(tmp_path / "nu" / "nu.csv")}),
+        ("checks", FREE_ENERGY_CHECK),
+    ]
+    runs = [[command, "--config", write_config(tmp_path, f"{command}{i}.json", cfg), "--workers",
+             "2", "--out", cfg.get("out", str(tmp_path / f"out{i}"))]
+            for i, (command, cfg) in enumerate(configs)]
     script = f"""
 import json, sys
 from todagibbs.cli import main
 def heavy():
     return sorted(m for m in sys.modules if m in ("scipy", "numpy.ma", "concurrent.futures.process")
-                  or m.startswith(("scipy.", "numpy.ma.", "multiprocessing")))
+                  or m.startswith(("scipy", "numpy.ma.", "multiprocessing")))
 loaded = [heavy()]
-loaded.append([main(["dos", "--config", {dos_cfg!r}, "--out", {str(tmp_path / "nu")!r}])] + heavy())
-loaded.append([main(["compare", "--config", {cmp_cfg!r}, "--out", {str(tmp_path / "cmp")!r}])] + heavy())
-loaded.append([main(["checks", "--config", {checks_cfg!r}, "--out", {str(tmp_path / "checks")!r},
-                     "--workers", "2"])] + heavy())
+for argv in {runs!r}:
+    loaded.append([main(argv)] + heavy())
 print(json.dumps(loaded))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
-
-
-def test_sample_runs_load_only_the_lapack_wrapper_of_scipy(tmp_path):
-    # the eigensolve loads scipy's compiled LAPACK wrapper module alone, not
-    # the scipy.linalg package; a tabulated V eigensolves inside the chain too
-    configs = [
-        {"source": "toda", "n": 50, "p": 1.0, "replicas": 2},
-        {"source": "beta", "n": 50, "p": 1.0, "replicas": 2},
-        {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20, "potential": QUARTIC},
-        {"source": "mcmc", "n": 12, "p": 1.0, "sweeps": 20, "potential": TABULATED_QUARTIC},
-    ]
-    runs = [(write_config(tmp_path, f"sample{i}.json", cfg), str(tmp_path / f"out{i}"))
-            for i, cfg in enumerate(configs)]
-    script = f"""
-import json, sys
-from todagibbs.cli import main
-loaded = []
-for cfg, out in {runs!r}:
-    rc = main(["sample", "--config", cfg, "--out", out])
-    loaded.append([rc] + sorted(m for m in sys.modules if m.startswith("scipy")))
-print(json.dumps(loaded))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=source_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, "scipy.linalg._flapack"]] * 4
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] + [[0]] * len(configs)
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):

@@ -1,12 +1,7 @@
-import importlib.machinery
-import importlib.util
-import json
+import ctypes
 import os
-import re
-import subprocess
 import sys
 import tempfile
-import textwrap
 import tracemalloc
 import types
 
@@ -140,50 +135,49 @@ def test_eigenvalues_leave_the_matrix_unchanged(periodic):
 
 
 def test_lapack_failure_raises_linalg_error(monkeypatch):
-    def failing(ab, **kwargs):
-        return np.zeros(ab.shape[1]), np.zeros((0, 0)), 1
-    monkeypatch.setattr(matrices, "_dsbevd", lambda: failing)
-    with pytest.raises(np.linalg.LinAlgError, match="dsbevd"):
+    def failing(*args):
+        ctypes.c_int64.from_address(args[13]).value = 1  # INFO
+    monkeypatch.setattr(matrices, "_dsbevd", lambda: (failing, ctypes.c_int64))
+    with pytest.raises(np.linalg.LinAlgError, match="dsbevd failed with info = 1"):
         eigenvalues(random_matrix(np.random.default_rng(0), 5))
 
 
-def test_missing_lapack_wrapper_raises_import_error(monkeypatch, tmp_path):
-    load = matrices._dsbevd.__wrapped__  # bypasses the per-process cache
-    name = "scipy.linalg._flapack"
-    monkeypatch.delitem(sys.modules, name, raising=False)
-    monkeypatch.setattr(importlib.util, "find_spec", lambda _: None)
-    with pytest.raises(ImportError, match="dsbevd.*_flapack.*not installed"):
-        load()
-    # a scipy whose linalg directory holds no wrapper module
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda _: spec)
-    with pytest.raises(ImportError, match=f"dsbevd.*_flapack.*{re.escape(str(tmp_path))}"):
-        load()
-    monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
-    with pytest.raises(ImportError, match="_flapack.*has no LAPACK dsbevd"):
-        load()
+def test_missing_dsbevd_symbol_raises_import_error_naming_every_symbol(monkeypatch):
+    # a BLAS library that exports none of the symbols
+    monkeypatch.setattr(matrices.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    with pytest.raises(ImportError) as info:
+        matrices._dsbevd.__wrapped__()  # bypasses the per-process cache
+    for name, _ in matrices._DSBEVD_SYMBOLS:
+        assert name in str(info.value)
 
 
-def test_eigenvalues_same_before_and_after_importing_scipy_linalg():
-    # a fresh interpreter, so that the wrapper module is loaded by the eigensolve first
-    script = textwrap.dedent("""
-        import json, sys
-        from todagibbs import eigenvalues, matrices
-        from todagibbs.sampling import SeededStream, sample_beta_matrix, sample_toda_matrix
-        ms = [sample_toda_matrix(SeededStream(1), 200, 1.0), sample_beta_matrix(SeededStream(1), 200, 1.0)]
-        before = [eigenvalues(m).values.tolist() for m in ms]
-        loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
-        import scipy.linalg
-        after = [eigenvalues(m).values.tolist() for m in ms]
-        same = scipy.linalg.lapack.dsbevd is matrices._dsbevd()
-        print(json.dumps([before == after, loaded, same]))
-    """)
-    src = os.path.dirname(os.path.dirname(matrices.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [True, ["scipy.linalg._flapack"], True]
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_threaded_spectra_equal_serial_ones_in_input_order(monkeypatch, cpus):
+    # mixed N, both kinds of matrix, more matrices than threads and, at 7, more
+    # threads than this host may have cores, switching threads every microsecond
+    monkeypatch.setattr(matrices.os, "cpu_count", lambda: cpus)
+    rng = np.random.default_rng(5)
+    ms = [random_matrix(rng, n, periodic=k % 3 != 0)
+          for k, n in enumerate(rng.integers(3, 300, size=23))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = matrices.spectra(ms)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == len(ms)
+    for m, measure in zip(ms, threaded):
+        assert np.array_equal(measure.values, eigenvalues(m).values)
+    assert matrices.spectra([]) == []
+
+
+def test_threaded_spectra_raise_a_lapack_failure(monkeypatch):
+    def failing(*args):
+        ctypes.c_int64.from_address(args[13]).value = 2
+    monkeypatch.setattr(matrices, "_dsbevd", lambda: (failing, ctypes.c_int64))
+    ms = [random_matrix(np.random.default_rng(k), 5) for k in range(4)]
+    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+        matrices.spectra(ms)
 
 
 # -- traces ------------------------------------------------------------------
