@@ -22,11 +22,11 @@ _SOURCES = {
                  "sample_toda_matrix", "sample_beta_matrix", "sample_profile_matrix",
                  "mcmc_toda", "integrated_autocorr_time", "replica_map"),
     "equilibrium": ("Grid", "GridDensity", "LogKernel", "EquilibriumSolution",
-                    "build_log_kernel", "free_energy", "solve_equilibrium", "domain_auto",
+                    "build_log_kernel", "solve_equilibrium", "domain_auto",
                     "DomainTooSmallError", "NonConvergedError"),
-    "dos": ("DosResult", "DosStepError", "dos_from_equilibrium", "mixture_over_profile",
-            "beta_mixture_check", "free_energy_relation_check",
-            "nu_density_relation_check", "d_lipschitz_sweep", "fc_convexity_check"),
+    "dos": ("dos_from_equilibrium", "mixture_over_profile", "beta_mixture_check",
+            "free_energy_relation_check", "nu_density_relation_check", "d_lipschitz_sweep",
+            "fc_convexity_check"),
     "metrics": ("bl_bv_distance", "ks_distance", "log_energy_distance", "smooth_empirical"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -335,7 +335,7 @@ def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
     from .dos import dos_from_equilibrium, mixture_over_profile
 
     mode = "profile" if "profile" in cfg else "single"
-    mode_keys = ("profile", "n_nodes") if mode == "profile" else ("p", "h_p")
+    mode_keys = ("profile", "n_nodes") if mode == "profile" else ("p",)
     _reject_unread(cfg, f"dos in {mode} mode",
                    ("potential", "grid", "tol", *mode_keys, *COMMON_KEYS))
     w = _potential_from_config(cfg)
@@ -346,10 +346,6 @@ def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
     else:
         p = _pressure(cfg)
         grid = _grid_from_config(cfg, p + 0.5, w)
-        h_p = None
-        if cfg.get("h_p") is not None:
-            h_p = _value(cfg, "h_p", None, _number, lambda v: 0 < v < p / 2,
-                         f"a number in (0, p/2) = (0, {p / 2:g})")
     tol = _positive_float(cfg, "tol", 1e-8)
 
     with RunDir(out_dir, "dos", cfg, seed) as run:
@@ -357,10 +353,8 @@ def cmd_dos(cfg: dict, seed: int, out_dir: str) -> int:
             nu = mixture_over_profile(profile, w, grid, n_nodes, tol=tol)
             report = {"mode": "profile", "profile": list(profile.values), "n_nodes": n_nodes}
         else:
-            result = dos_from_equilibrium(p, w, grid, h_p=h_p, tol=tol)
-            nu = result.nu
-            report = {"mode": "single", "P": p, "fd_step": result.fd_step,
-                      "negativity": result.negativity}
+            nu = dos_from_equilibrium(p, w, grid, tol=tol)
+            report = {"mode": "single", "P": p}
         run.write("nu.csv", nu.to_csv_text())
         run.write("report.json", {**report, "mass": nu.mass(),
                                   "moments": {str(k): nu.moment(k) for k in (1, 2, 3, 4)},

@@ -3,10 +3,12 @@
 The almost-sure limit of the Toda spectral measure at pressure P is obtained
 from the log-gas equilibrium family by differentiating in the pressure,
 
-    nu_P = d/dP ( P * mu_P ),
+    nu_P = d/dP ( P * mu_P ) = mu_P + P mu_P',
 
-evaluated here with central differences.  On top of that single construction
-the module verifies three structural identities at desk scale:
+where mu_P' solves the Euler-Lagrange equation differentiated in P, a linear
+system at the one converged mu_P, so no pressure step is taken.  On top of
+that single construction the module verifies three structural identities at
+desk scale:
 
 * the mixture identity  mu_P = int_0^1 nu_{sP} ds  (and its variance-profile
   generalization  nu_sigma = int_0^1 nu_{sigma(P)} dP),
@@ -27,18 +29,16 @@ states on its own loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .equilibrium import Grid, GridDensity, build_log_kernel, domain_auto, solve_equilibrium
+from .equilibrium import (Grid, GridDensity, NonConvergedError, build_log_kernel,
+                          domain_auto, solve_equilibrium)
 from .potentials import Potential
 
 
-# largest clipped negative mass a density of states may carry
-NEGATIVITY_CEILING = 1e-3
-# beta_mixture_check clamps quadrature nodes s below this
-MIXTURE_S_MIN = 1e-3
+# conjugate-gradient solve for the pressure derivative: relative residual and iteration cap
+CG_TOL = 1e-12
+CG_MAX_ITER = 1000
 
 # Verdict bounds of the five checks; each report carries "pass" and "bound".
 MIXTURE_BOUND = 1e-2            # sup CDF gap between mu_P and the mixture
@@ -51,48 +51,51 @@ LIPSCHITZ_SLACK = 1e-9
 CONVEXITY_FLOOR = -1e-6         # smallest second difference of F_C
 
 
-class DosStepError(ValueError):
-    """Differencing produced material negative mass; refine h_P or the grid."""
-
-    exit_code = 2  # the command line's status for it: numerical non-convergence
-
-
-@dataclass(frozen=True)
-class DosResult:
-    """Density of states with its finite-difference provenance."""
-
-    nu: GridDensity
-    fd_step: float
-    negativity: float
-
-
-def dos_from_equilibrium(p: float, w: Potential, grid: Grid,
-                         h_p: float | None = None, tol: float = 1e-8) -> DosResult:
-    """nu_P as the central difference of P' -> P' mu_{P'} at P, step h_p (min(1e-3, P/10)).
-
-    Pre-clip mass equals one up to rounding because each solve is normalized
-    exactly; tiny negative cells are clipped and the clipped mass reported.
-    """
+def dos_from_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8) -> GridDensity:
+    """nu_P = d/dP (P mu_P) from one equilibrium solve at P and one linear solve."""
     if not 0 < p < np.inf:
         raise ValueError("pressure must be positive")
-    if h_p is None:
-        h_p = min(1e-3, p / 10.0)
-    if not 0 < h_p < p / 2:
-        raise ValueError("need 0 < h_p < p/2")
-    lower = solve_equilibrium(p - h_p, w, grid, tol=tol, raise_on_failure=True)
-    upper = solve_equilibrium(p + h_p, w, grid, tol=tol, raise_on_failure=True)
-    raw = ((p + h_p) * upper.density.values - (p - h_p) * lower.density.values) / (2.0 * h_p)
-    mass = float(np.sum(raw) * grid.h)
-    if abs(mass - 1.0) > 1e-8:
-        raise DosStepError(f"pre-clip mass {mass} deviates from 1 beyond 1e-8")
-    negativity = float(-np.sum(np.minimum(raw, 0.0)) * grid.h)
-    if negativity > NEGATIVITY_CEILING:
-        raise DosStepError(
-            f"clipped negative mass {negativity:.3e} exceeds ceiling "
-            f"{NEGATIVITY_CEILING:.1e}; reduce h_p or refine the grid"
-        )
-    nu = GridDensity.from_unnormalized(grid, raw)
-    return DosResult(nu=nu, fd_step=h_p, negativity=negativity)
+    return _dos_at(solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True))
+
+
+def _dos_at(solution) -> GridDensity:
+    """nu_P = rho + P rho' at a converged rho = mu_P, by projected conjugate gradients.
+
+    From W - 2P U_rho + log rho = lambda, rho' = rho (lambda' + 2 U_rho + 2P U_rho')
+    with int rho' = 0.  In y = rho' sqrt(h / rho), S = diag(sqrt(rho)) and the
+    unit vector e = sqrt(rho h), that reads (I - 2P h S K S) y = 2 e U_rho + lambda' e
+    with e . y = 0.  S y has zero mass on the complement of e, where K is
+    negative definite, so the operator is positive definite there and lambda'
+    drops out.  Raises ``NonConvergedError`` unless the residual falls to
+    CG_TOL times the right-hand side within CG_MAX_ITER iterations.
+    """
+    grid, p = solution.density.grid, solution.p
+    rho, h = solution.density.values, grid.h
+    kernel = build_log_kernel(grid)
+    s = np.sqrt(rho)
+    e = s * np.sqrt(h)
+
+    def project(v):
+        return v - np.dot(e, v) * e
+
+    b = project(2.0 * e * kernel.log_potential(rho))
+    y, r, d = np.zeros_like(b), b.copy(), b.copy()
+    rr = float(np.dot(b, b))
+    target = CG_TOL ** 2 * rr
+    for _ in range(CG_MAX_ITER):
+        if rr <= target:
+            break
+        q = project(d - 2.0 * p * h * s * kernel.apply(s * d))
+        alpha = rr / float(np.dot(d, q))
+        y += alpha * d
+        r -= alpha * q
+        rr, rr_old = float(np.dot(r, r)), rr
+        d = r + (rr / rr_old) * d
+    if rr > target:
+        raise NonConvergedError(f"conjugate gradients: relative residual "
+                                f"{CG_TOL * np.sqrt(rr / target):.3e} "
+                                f"after {CG_MAX_ITER} iterations")
+    return GridDensity.from_unnormalized(grid, rho + p * s * y / np.sqrt(h))
 
 
 def gauss_legendre_unit(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,28 +114,21 @@ def mixture_over_profile(profile, w: Potential, grid: Grid, n_nodes: int,
         raise ValueError("need at least 5 quadrature nodes")
     mix = np.zeros(grid.m)
     for s, wt in zip(*gauss_legendre_unit(n_nodes)):
-        result = dos_from_equilibrium(float(profile(s)), w, grid, tol=tol)
-        mix += wt * result.nu.values
+        mix += wt * dos_from_equilibrium(float(profile(s)), w, grid, tol=tol).values
     return GridDensity.from_unnormalized(grid, mix)
 
 
 def beta_mixture_check(p: float, w: Potential, grid: Grid, n_nodes: int = 21,
                        tol: float = 1e-8) -> dict:
-    """Compare mu_P against the pressure mixture int_0^1 nu_{sP} ds.
-
-    Quadrature nodes below MIXTURE_S_MIN are clamped there; the solver
-    conditioning degrades toward P = 0 where both sides approach exp(-W)/Z anyway.
-    """
+    """Compare mu_P against the pressure mixture int_0^1 nu_{sP} ds."""
     from .metrics import ks_distance
 
-    mixture = mixture_over_profile(lambda s: max(float(s), MIXTURE_S_MIN) * p, w, grid,
-                                   n_nodes, tol=tol)
+    mixture = mixture_over_profile(lambda s: s * p, w, grid, n_nodes, tol=tol)
     mu = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).density
     gap = ks_distance(mixture, mu)
     return {
         "sup_cdf_gap": gap,
         "n_nodes": n_nodes,
-        "s_min": MIXTURE_S_MIN,
         "second_moment_mixture": mixture.moment(2),
         "second_moment_mu": mu.moment(2),
         "bound": MIXTURE_BOUND,
@@ -230,10 +226,15 @@ def nu_density_relation_check(p: float, w: Potential, grid: Grid, tol: float = 1
     """Check nu_P = (C + 2P * log-potential of nu_P) * mu_P pointwise.
 
     C is fitted as the mu-weighted mean of nu/mu - 2P U_nu, which also pins
-    the normalization  C + 2P int U_nu dmu = 1.
+    the normalization  C + 2P int U_nu dmu = 1.  The identity is the
+    derivative equation that builds nu_P, rearranged with C = 1 + P lambda',
+    so it tests the linear solve through the kernel product, not the
+    derivative itself.
     """
-    mu = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True).density
-    nu = dos_from_equilibrium(p, w, grid, tol=tol).nu
+    if not 0 < p < np.inf:
+        raise ValueError("pressure must be positive")
+    solution = solve_equilibrium(p, w, grid, tol=tol, raise_on_failure=True)
+    mu, nu = solution.density, _dos_at(solution)
     h = grid.h
     u_nu = build_log_kernel(grid).log_potential(nu.values)
     mask = mu.values > 0.0

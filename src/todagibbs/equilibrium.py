@@ -211,14 +211,6 @@ class EquilibriumSolution:
         }
 
 
-def free_energy(rho: GridDensity, p: float, w: Potential) -> float:
-    """Discrete free-energy functional (potential - P log-energy + entropy)."""
-    vals = rho.values
-    return _free_energy_parts(w.confinement(rho.grid.x),
-                              build_log_kernel(rho.grid).log_potential(vals), vals,
-                              p, rho.grid.h)
-
-
 def _normalized_exp(log_values: np.ndarray, h: float) -> np.ndarray:
     shifted = log_values - np.max(log_values)
     g = np.exp(shifted)

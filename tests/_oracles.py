@@ -8,7 +8,11 @@ log-energy distance, brute-force quadrature for the two-point
 beta-ensemble moment, a one-move-at-a-time Metropolis sweep with Tr V
 from the dense matrix, the untruncated Gaussian kernel sum, and closed forms
 for a quadratic V; ``dense`` builds a matrix's dense form and ``with_entry``
-copies a matrix with one entry changed.  Nothing here imports from todagibbs.
+copies a matrix with one entry changed.  On the equilibrium grid, the log
+potential is a direct convolution with the cell-integrated kernel; over it
+a fixed-step Picard iteration solves for mu_P, whose central difference in
+the pressure stands against the implicit derivative nu_P, and the free-energy
+functional is summed term by term.  Nothing here imports from todagibbs.
 """
 
 import math
@@ -211,3 +215,58 @@ def quadratic_v_diag_second_moment(c, alpha=1.0):
 def quadratic_v_offdiag_second_moment(c, p, alpha=1.0):
     """E_alpha[b_i^2] for V = c x^2 at tilt alpha: P / (1 + 2 alpha c), the Gamma mean."""
     return p / (1.0 + 2.0 * alpha * c)
+
+
+def log_potential(grid, values):
+    """U(x_i) = int log|x_i - y| rho(y) dy for cellwise-constant rho, by direct convolution.
+
+    Cell j contributes G((d + 1/2) h) - G((d - 1/2) h) times rho_j, with
+    d = |i - j| and G(t) = t log|t| - t the antiderivative of log|t|.
+    """
+    h, m = grid.h, grid.m
+    d = np.abs(np.arange(1 - m, m)).astype(float)
+
+    def g(t):
+        return t * np.log(np.abs(np.where(t == 0.0, 1.0, t))) - t
+
+    return np.convolve(values, g((d + 0.5) * h) - g((d - 0.5) * h))[m - 1:2 * m - 1]
+
+
+def picard_equilibrium(p, w, grid, tol):
+    """Cell values of mu_P by the iteration rho <- (rho + normalize(exp(-W + 2P U_rho))) / 2.
+
+    Stops when sup |W - 2P U_rho + log rho - lambda| <= tol on the cells where
+    rho > 0, with lambda the rho-weighted mean of the bracket.
+    """
+    h = grid.h
+    wx = w.confinement(grid.x)
+    rho = np.exp(-(wx - np.min(wx)))
+    rho /= np.sum(rho) * h
+    for _ in range(10_000):
+        log_target = -wx + 2.0 * p * log_potential(grid, rho)
+        support = rho > 0.0
+        bracket = np.log(rho[support]) - log_target[support]
+        if np.max(np.abs(bracket - np.sum(bracket * rho[support]) * h)) <= tol:
+            return rho
+        target = np.exp(log_target - np.max(log_target))
+        rho = 0.5 * rho + 0.5 * target / (np.sum(target) * h)
+    raise RuntimeError(f"no convergence to {tol} in 10,000 iterations")
+
+
+def central_difference_nu(p, w, grid, h_p, tol):
+    """nu_P = d/dP (P mu_P) as the central difference of two solves at P +- h_p.
+
+    Returns the raw cell values: no clipping and no renormalization, so the
+    O(h_p^2) truncation error shows in full.
+    """
+    lower, upper = (picard_equilibrium(q, w, grid, tol) for q in (p - h_p, p + h_p))
+    return ((p + h_p) * upper - (p - h_p) * lower) / (2.0 * h_p)
+
+
+def free_energy(rho, p, w):
+    """The discrete functional int W rho - P int U_rho rho + int rho log rho of a GridDensity."""
+    grid, vals = rho.grid, rho.values
+    positive = vals > 0.0
+    return float(grid.h * (np.dot(w.confinement(grid.x), vals)
+                           - p * np.dot(log_potential(grid, vals), vals)
+                           + np.dot(vals[positive], np.log(vals[positive]))))

@@ -21,8 +21,8 @@ from todagibbs import (EmpiricalSpectralMeasure, Grid, Potential,
                        solve_equilibrium, trace_power)
 from todagibbs.equilibrium import GridDensity
 
-from _oracles import (bathtub_lp, beta_two_point_trace_moment, fourier_log_energy,
-                      with_entry)
+from _oracles import (bathtub_lp, beta_two_point_trace_moment, central_difference_nu,
+                      fourier_log_energy, with_entry)
 
 W0 = Potential.zero()
 V_QUARTIC = Potential.polynomial([0, 0, 0, 0, 1.0])
@@ -47,8 +47,8 @@ def test_criterion_1_toda_convergence(quadratic_p1):
     spectra = [eigenvalues(sample_toda_matrix(SeededStream(2024, i), 2000, 1.0)).values
                for i in range(50)]
     aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
-    d = bl_bv_distance(aggregate, nu.nu)
-    ks = ks_distance(aggregate, nu.nu)
+    d = bl_bv_distance(aggregate, nu)
+    ks = ks_distance(aggregate, nu)
     report(1, d <= 0.02 and ks <= 0.02,
            f"50 x N=2000 Toda spectra vs dP(P mu_P): d={d:.5f} (<=0.02), "
            f"KS={ks:.5f} (<=0.02)")
@@ -65,7 +65,7 @@ def test_criterion_2_exact_moments():
         lines.append(f"P={p}: tr2={t2.mean():.4f} (1+2P={1 + 2 * p}, 3se={3 * se:.4f})")
         grid = Grid(domain_auto(p, W0), 2000)
         m2_mu = solve_equilibrium(p, W0, grid, raise_on_failure=True).density.moment(2)
-        m2_nu = dos_from_equilibrium(p, W0, grid).nu.moment(2)
+        m2_nu = dos_from_equilibrium(p, W0, grid).moment(2)
         ok &= abs(m2_mu - (1 + p)) <= 1e-3
         ok &= abs(m2_nu - (1 + 2 * p)) <= 2e-3
         lines.append(f"P={p}: m2(mu)={m2_mu:.6f} (1+P +-1e-3), "
@@ -120,7 +120,7 @@ def test_criterion_6_general_potential_mcmc():
     spectra = EmpiricalSpectralMeasure(
         np.concatenate([eigenvalues(m).values for m in chain.samples]))
     grid = Grid(domain_auto(1.1, V_QUARTIC), 2000)
-    nu = dos_from_equilibrium(1.0, V_QUARTIC, grid).nu
+    nu = dos_from_equilibrium(1.0, V_QUARTIC, grid)
     d = bl_bv_distance(spectra, nu)
     ok = chain.ess >= 200 and d <= 0.05
     report(6, ok,
@@ -215,15 +215,17 @@ def test_criterion_10_regularity_sweeps():
     solver_d1, solver_d2 = abs(m2[1] - m2[0]), abs(m2[2] - m2[1])
     solver_ok = solver_d2 <= solver_d1 / 2.5 + 1e-13
 
+    # the central difference of P mu_P approaches the implicit nu_P at O(h^2)
     fd_grid = Grid(domain_auto(1.3, W0), 1200)
-    nus = [dos_from_equilibrium(1.0, W0, fd_grid, h_p=hp, tol=1e-11).nu.values
-           for hp in (0.2, 0.1, 0.05)]
-    fd_d1 = np.max(np.abs(nus[1] - nus[0]))
-    fd_d2 = np.max(np.abs(nus[2] - nus[1]))
-    fd_ok = fd_d2 <= fd_d1 / 2.5
+    implicit = dos_from_equilibrium(1.0, W0, fd_grid, tol=1e-11).values
+    fd_d0, fd_d1, fd_d2 = (
+        np.max(np.abs(central_difference_nu(1.0, W0, fd_grid, hp, 1e-11) - implicit))
+        for hp in (0.2, 0.1, 0.05))
+    fd_ok = fd_d1 <= fd_d0 / 2.5 and fd_d2 <= fd_d1 / 2.5
 
     ok = ratio_ok and convex_ok and solver_ok and fd_ok
     report(10, ok,
            f"D ratios bounded: {ratio_ok}; min second diff of F_C="
            f"{convexity['min_second_difference']:.2e} (>=-1e-6); solver refinement "
-           f"{solver_d1:.2e}->{solver_d2:.2e}; dP refinement {fd_d1:.2e}->{fd_d2:.2e}")
+           f"{solver_d1:.2e}->{solver_d2:.2e}; dP difference to the implicit nu "
+           f"{fd_d0:.2e}->{fd_d1:.2e}->{fd_d2:.2e}")

@@ -10,7 +10,6 @@ import pytest
 
 import todagibbs
 from todagibbs.cli import ConfigError, _json_text, main
-from todagibbs.dos import DosStepError
 from todagibbs.equilibrium import DomainTooSmallError, NonConvergedError, domain_auto
 from todagibbs.potentials import NonConfiningError
 
@@ -369,13 +368,15 @@ def test_sample_at_the_largest_pressure_writes_strict_json(tmp_path, source):
         _json_text({"moment": math.inf})
 
 
-def test_dos_step_below_rounding_exits_2_and_marks_the_manifest_failed(tmp_path, capsys):
-    # at h_p = 1e-12 the difference quotient of the two solves is rounding noise
-    rc, out = run(tmp_path, "dos", {"p": 1.0, "h_p": 1e-12, "grid": {"m": 200}})
-    assert rc == 2 and "pre-clip mass" in capsys.readouterr().err
+def test_dos_linear_solve_cap_exits_2_and_marks_the_manifest_failed(tmp_path, capsys,
+                                                                  monkeypatch):
+    # one conjugate-gradient iteration does not reach the relative tolerance
+    monkeypatch.setattr("todagibbs.dos.CG_MAX_ITER", 1)
+    rc, out = run(tmp_path, "dos", {"p": 1.0, "grid": {"m": 200}})
+    assert rc == 2 and "conjugate gradients" in capsys.readouterr().err
     manifest = read_manifest(out)
     assert manifest["status"] == "failed"
-    assert manifest["error"].startswith("DosStepError: pre-clip mass")
+    assert manifest["error"].startswith("NonConvergedError: conjugate gradients")
 
 
 def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys):
@@ -539,6 +540,7 @@ QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
     ("checks", {"checks": ["beta_mixture"], "n_nodes": 3}, {}),
     ("solve", {"p": 1.0, "theta0": 2}, {}),
     ("solve", {"p": 1.0, "tol": -1}, {}),
+    # h_p is a key that dos does not read (here and below)
     ("dos", {"p": 1.0, "h_p": 0.9}, {}),
     ("solve", {"p": 1.0, "seed": -1}, {}),
     ("sample", {"source": "toda", "n": math.inf, "p": 1.0, "replicas": 2}, {}),
@@ -636,7 +638,7 @@ def test_library_value_error_is_not_relabelled(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error, code", [
     (ConfigError, 1), (NonConfiningError, 1), (DomainTooSmallError, 1),
-    (NonConvergedError, 2), (DosStepError, 2),
+    (NonConvergedError, 2),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_each_error_class_reaches_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
     def failing(*args, **kwargs):

@@ -56,7 +56,7 @@ KEYS = {
     "sample": ["source", "n", "p", "profile", "replicas", "potential", "sweeps", "thin",
                "proposal_scales", "dump_samples", "seed"],
     "solve": ["p", "potential", "grid", "tol", "max_iter", "seed"],
-    "dos": ["p", "profile", "potential", "grid", "h_p", "n_nodes", "tol"],
+    "dos": ["p", "profile", "potential", "grid", "n_nodes", "tol"],
     "compare": ["eigenvalues_csv", "density_csv", "bandwidth"],
     "checks": ["p", "potential", "checks", "grid", "n_nodes", "n", "sweeps", "tol"],
 }

@@ -10,7 +10,7 @@ from todagibbs import (Grid, McmcReport, Potential, VarianceProfile,
                        free_energy_relation_check, mixture_over_profile,
                        nu_density_relation_check, solve_equilibrium)
 
-from _oracles import quadratic_v_log_moment
+from _oracles import central_difference_nu, quadratic_v_log_moment
 from test_sampling import tabulated_quadratic
 
 W0 = Potential.zero()
@@ -20,42 +20,77 @@ def std_grid(p_max, m=1200):
     return Grid(domain_auto(p_max, W0), m)
 
 
-# -- pressure differencing ----------------------------------------------------
+# -- the pressure derivative ----------------------------------------------------
 
 def test_dos_mass_is_one():
-    res = dos_from_equilibrium(1.0, W0, std_grid(1.1))
-    assert res.nu.mass() == pytest.approx(1.0, abs=1e-12)
-    assert res.negativity <= 1e-10
+    nu = dos_from_equilibrium(1.0, W0, std_grid(1.1))
+    assert nu.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_dos_second_moment(p):
-    res = dos_from_equilibrium(p, W0, std_grid(p + 0.1, m=2000))
-    assert res.nu.moment(2) == pytest.approx(1.0 + 2.0 * p, abs=2e-3)
+    nu = dos_from_equilibrium(p, W0, std_grid(p + 0.1, m=2000))
+    assert nu.moment(2) == pytest.approx(1.0 + 2.0 * p, abs=2e-3)
 
 
 def test_dos_even_symmetry():
-    nu = dos_from_equilibrium(1.0, W0, std_grid(1.1)).nu.values
+    nu = dos_from_equilibrium(1.0, W0, std_grid(1.1)).values
     assert np.max(np.abs(nu - nu[::-1])) <= 1e-9
 
 
 def test_dos_step_validation():
-    grid = std_grid(1.1, m=400)
     with pytest.raises(ValueError):
-        dos_from_equilibrium(1.0, W0, grid, h_p=0.6)
-    with pytest.raises(ValueError):
-        dos_from_equilibrium(1.0, W0, grid, h_p=0.0)
-    with pytest.raises(ValueError):
-        dos_from_equilibrium(0.0, W0, grid)
+        dos_from_equilibrium(0.0, W0, std_grid(1.1, m=400))
 
 
 def test_dos_step_refinement_second_order():
+    # the central difference approaches the implicit derivative at O(h^2)
     grid = std_grid(1.3)
-    nus = [dos_from_equilibrium(1.0, W0, grid, h_p=hp, tol=1e-11).nu.values
-           for hp in (0.2, 0.1, 0.05)]
-    d1 = np.max(np.abs(nus[1] - nus[0]))
-    d2 = np.max(np.abs(nus[2] - nus[1]))
-    assert d2 <= d1 / 2.5
+    implicit = dos_from_equilibrium(1.0, W0, grid, tol=1e-11).values
+    gaps = [np.max(np.abs(central_difference_nu(1.0, W0, grid, hp, 1e-11) - implicit))
+            for hp in (0.2, 0.1, 0.05)]
+    assert all(fine <= coarse / 2.5 for coarse, fine in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("w", [W0, Potential.polynomial([0, 0, 0, 0, 1.0])],
+                         ids=["zero", "quartic"])
+def test_dos_matches_a_small_central_difference(w):
+    grid = Grid(domain_auto(1.5, w), 2000)
+    implicit = dos_from_equilibrium(1.0, w, grid, tol=1e-11).values
+    assert np.max(np.abs(central_difference_nu(1.0, w, grid, 1e-3, 1e-11) - implicit)) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_dos_integrates_to_the_multiplier_difference(c, p):
+    # int_0^1 (int V d nu_P for the potential alpha V) d alpha = lambda_V(P) - lambda_0(P):
+    # the multipliers come from two solves, nu_P from 32 more, and no chain runs;
+    # Gauss-Legendre in s with alpha = s^2, as in the free-energy check.  The
+    # gaps measured 2.4e-10 to 6.4e-10; the central difference at its old
+    # default step left 3-4e-8
+    grid = Grid(domain_auto(p, W0), 2000)
+    v = Potential.polynomial([0, 0, 0, 0, c])
+    lam_v, lam_0 = (solve_equilibrium(p, u, grid, raise_on_failure=True).lam for u in (v, W0))
+    s_nodes, s_weights = dos.gauss_legendre_unit(32)
+    integral = sum(2.0 * s * wt * grid.h * np.dot(v(grid.x), dos_from_equilibrium(
+        p, Potential.polynomial([0, 0, 0, 0, s * s * c]), grid).values)
+                   for s, wt in zip(s_nodes, s_weights))
+    assert abs(integral - (lam_v - lam_0)) <= 1e-8
+
+
+def test_each_nu_takes_one_equilibrium_solve(monkeypatch):
+    solved = []
+
+    def recording(p, w, grid, **kwargs):
+        solved.append(p)
+        return solve_equilibrium(p, w, grid, **kwargs)
+
+    monkeypatch.setattr(dos, "solve_equilibrium", recording)
+    grid = std_grid(1.6, m=400)
+    dos_from_equilibrium(1.0, W0, grid)
+    nu_density_relation_check(1.0, W0, grid)
+    mixture_over_profile(VarianceProfile((0.8, 1.5)), W0, grid, 6)
+    assert solved[:2] == [1.0, 1.0] and len(solved) == 2 + 6
 
 
 # -- profile mixtures -----------------------------------------------------------
@@ -63,7 +98,7 @@ def test_dos_step_refinement_second_order():
 def test_constant_profile_equals_single_pressure():
     grid = std_grid(1.1)
     mix = mixture_over_profile(VarianceProfile((1.0, 1.0)), W0, grid, 9)
-    single = dos_from_equilibrium(1.0, W0, grid).nu
+    single = dos_from_equilibrium(1.0, W0, grid)
     assert np.max(np.abs(mix.values - single.values)) <= 1e-8
 
 
@@ -98,7 +133,7 @@ def test_beta_mixture_identity_quadratic_case():
 
 def test_small_pressure_limit_is_gibbs_density():
     grid = std_grid(1.0)
-    nu = dos_from_equilibrium(1e-3, W0, grid).nu
+    nu = dos_from_equilibrium(1e-3, W0, grid)
     gauss = np.exp(-grid.x ** 2 / 2.0)
     gauss /= gauss.sum() * grid.h
     assert np.max(np.abs(nu.values - gauss)) <= 1e-2 * np.max(gauss)

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from todagibbs import (DomainTooSmallError, Grid, GridDensity, Potential,
-                       build_log_kernel, domain_auto, free_energy,
-                       solve_equilibrium)
+                       build_log_kernel, domain_auto, solve_equilibrium)
+
+from _oracles import free_energy
 
 W0 = Potential.zero()
 
