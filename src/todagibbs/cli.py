@@ -313,7 +313,7 @@ def cmd_solve(cfg: dict, seed: int, out_dir: str) -> int:
     w = _potential_from_config(cfg)
     grid = _grid_from_config(cfg, max(p, 0.5), w)
     tol = _positive_float(cfg, "tol", 1e-8)
-    max_iter = _value(cfg, "max_iter", 10000, _integer, lambda v: v >= 0,
+    max_iter = _value(cfg, "max_iter", 100, _integer, lambda v: v >= 0,
                       "a nonnegative integer")
 
     with RunDir(out_dir, "solve", cfg, seed) as run:

@@ -31,14 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equilibrium import (Grid, GridDensity, NonConvergedError, build_log_kernel,
-                          domain_auto, solve_equilibrium)
+from .equilibrium import (CG_TOL, Grid, GridDensity, build_log_kernel,
+                          domain_auto, solve_equilibrium, solve_linearized)
 from .potentials import Potential
 
-
-# conjugate-gradient solve for the pressure derivative: relative residual and iteration cap
-CG_TOL = 1e-12
-CG_MAX_ITER = 1000
 
 # Verdict bounds of the five checks; each report carries "pass" and "bound".
 MIXTURE_BOUND = 1e-2            # sup CDF gap between mu_P and the mixture
@@ -59,43 +55,18 @@ def dos_from_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8) 
 
 
 def _dos_at(solution) -> GridDensity:
-    """nu_P = rho + P rho' at a converged rho = mu_P, by projected conjugate gradients.
+    """nu_P = rho + P rho' at a converged rho = mu_P, by one linear solve to CG_TOL.
 
-    From W - 2P U_rho + log rho = lambda, rho' = rho (lambda' + 2 U_rho + 2P U_rho')
-    with int rho' = 0.  In y = rho' sqrt(h / rho), S = diag(sqrt(rho)) and the
-    unit vector e = sqrt(rho h), that reads (I - 2P h S K S) y = 2 e U_rho + lambda' e
-    with e . y = 0.  S y has zero mass on the complement of e, where K is
-    negative definite, so the operator is positive definite there and lambda'
-    drops out.  Raises ``NonConvergedError`` unless the residual falls to
-    CG_TOL times the right-hand side within CG_MAX_ITER iterations.
+    Differentiating W - 2P U_rho + log rho = lambda in P gives
+    rho'/rho - 2P U_rho' = 2 U_rho + lambda' with int rho' = 0, the linearized
+    equation of ``solve_linearized`` with b = 2 e U_rho in y = rho' sqrt(h / rho).
     """
     grid, p = solution.density.grid, solution.p
     rho, h = solution.density.values, grid.h
     kernel = build_log_kernel(grid)
-    s = np.sqrt(rho)
-    e = s * np.sqrt(h)
-
-    def project(v):
-        return v - np.dot(e, v) * e
-
-    b = project(2.0 * e * kernel.log_potential(rho))
-    y, r, d = np.zeros_like(b), b.copy(), b.copy()
-    rr = float(np.dot(b, b))
-    target = CG_TOL ** 2 * rr
-    for _ in range(CG_MAX_ITER):
-        if rr <= target:
-            break
-        q = project(d - 2.0 * p * h * s * kernel.apply(s * d))
-        alpha = rr / float(np.dot(d, q))
-        y += alpha * d
-        r -= alpha * q
-        rr, rr_old = float(np.dot(r, r)), rr
-        d = r + (rr / rr_old) * d
-    if rr > target:
-        raise NonConvergedError(f"conjugate gradients: relative residual "
-                                f"{CG_TOL * np.sqrt(rr / target):.3e} "
-                                f"after {CG_MAX_ITER} iterations")
-    return GridDensity.from_unnormalized(grid, rho + p * s * y / np.sqrt(h))
+    e = np.sqrt(rho * h)
+    y = solve_linearized(rho, p, kernel, 2.0 * e * kernel.log_potential(rho), CG_TOL)
+    return GridDensity.from_unnormalized(grid, rho + p * e * y / h)
 
 
 def gauss_legendre_unit(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,9 @@ stationarity condition
 
     W(x) - 2P * int log|x-y| rho(y) dy + log rho(x) = lambda
 
-rearranges into the explicit fixed point rho = normalize(exp(-W + 2P * U_rho))
-with U_rho the log-potential of rho.  ``solve_equilibrium`` runs a damped
-Picard iteration on that map with a monotone free-energy safeguard.
+with U_rho the log-potential of rho, is linearized by ``solve_linearized``:
+``solve_equilibrium`` takes Newton steps in log rho through it, with a
+monotone free-energy safeguard, and ``dos`` differentiates mu_P in P with it.
 
 Discretization: midpoint grid, with the logarithmic kernel integrated exactly
 over cells so the singularity needs no regularization.  The kernel matrix is
@@ -32,6 +32,10 @@ from .potentials import NonConfiningError, Potential
 logger = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-300
+# projected CG: relative residual of an exact solve and of a Newton step, iteration cap
+CG_TOL = 1e-12
+NEWTON_FORCING = 1e-3
+CG_MAX_ITER = 1000
 # boundary cells above this fraction of the peak indicate mass escaping the box
 _LEAK_RATIO = 1e-10
 # domain_auto: target log tail envelope, and the half-width beyond which V is too weak
@@ -46,7 +50,7 @@ class DomainTooSmallError(ValueError):
 
 
 class NonConvergedError(RuntimeError):
-    """Fixed-point iteration hit max_iter (raise_on_failure=False returns the partial solution)."""
+    """Newton steps hit max_iter (returned if not raise_on_failure) or CG hit CG_MAX_ITER."""
 
     exit_code = 2  # the command line's status for it: numerical non-convergence
 
@@ -217,26 +221,57 @@ def _normalized_exp(log_values: np.ndarray, h: float) -> np.ndarray:
     return g / (np.sum(g) * h)
 
 
-def _residual_and_lambda(wx, phi, rho, p, h):
-    mask = rho > DENSITY_FLOOR
-    r = np.where(mask, wx - 2.0 * p * phi + np.log(np.where(mask, rho, 1.0)), 0.0)
-    lam = float(np.sum(r * rho) * h)
-    resid = float(np.max(np.abs(r[mask] - lam))) if np.any(mask) else np.inf
-    return resid, lam
+def solve_linearized(rho: np.ndarray, p: float, kernel: LogKernel, b: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """y with (I - 2P h S K S) y = b on the complement of e, by projected conjugate gradients.
+
+    S = diag(sqrt(rho)) and e = sqrt(rho h) is a unit vector.  A perturbation
+    rho (1 + du) with int rho du = 0 changes W - 2P U_rho + log rho by
+    du - 2P h K(rho du), which in y = e du is (I - 2P h S K S) y with e . y = 0.
+    There S y has zero mass, where K is negative definite, so the operator is
+    positive definite; the multiplier's change, a multiple of e, drops out with
+    the projection of b.  Raises ``NonConvergedError`` unless the residual falls
+    to tol times the projected b within CG_MAX_ITER iterations.
+    """
+    e = np.sqrt(rho * kernel.grid.h)
+
+    def project(v):
+        return v - np.dot(e, v) * e
+
+    b = project(b)
+    y, r, d = np.zeros_like(b), b.copy(), b.copy()
+    rr = float(np.dot(b, b))
+    target = tol ** 2 * rr
+    for _ in range(CG_MAX_ITER):
+        if rr <= target:
+            break
+        q = project(d - 2.0 * p * e * kernel.apply(e * d))  # h S K S d = e K(e d)
+        alpha = rr / float(np.dot(d, q))
+        y += alpha * d
+        r -= alpha * q
+        rr, rr_old = float(np.dot(r, r)), rr
+        d = r + (rr / rr_old) * d
+    if rr > target:
+        raise NonConvergedError(f"conjugate gradients: relative residual "
+                                f"{tol * np.sqrt(rr / target):.3e} after {CG_MAX_ITER} iterations")
+    return y
 
 
-def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max_iter: int = 10000,
+def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max_iter: int = 100,
                       raise_on_failure: bool = False) -> EquilibriumSolution:
-    """Minimize the free-energy functional by damped fixed-point iteration.
+    """Minimize the free-energy functional by Newton steps in u = log rho.
 
-    The iterate is rho <- (1 - theta) rho + theta T(rho) with
-    T(rho) = normalize(exp(-W + 2P U_rho)); theta starts at 0.5 and halves
-    whenever the free energy would increase.  Convergence is declared when the
-    stationarity defect  sup |W - 2P U_rho + log rho - lambda|  drops below
-    tol on cells above the density floor.
+    With R = W - 2P U_rho + log rho - lambda on every cell (log of rho floored
+    at DENSITY_FLOOR), a step solves (I - 2P h S K S) y = -e R by
+    ``solve_linearized`` to NEWTON_FORCING and moves u by t du with
+    du = -R + 2P K(e y); normalization absorbs the multiplier's change.  t
+    starts at 1 and halves whenever the free energy would increase.
+    Convergence is declared when the stationarity defect sup |R| drops below
+    tol on cells above the density floor; ``iterations`` counts the steps.
 
     P = 0 is allowed (entropy-only problem, minimizer exp(-W)/Z).  A solution
-    that still leaks mass at the boundary raises ``DomainTooSmallError``.
+    that still leaks mass at the boundary raises ``DomainTooSmallError``, and
+    CG that hits CG_MAX_ITER raises ``NonConvergedError`` whatever raise_on_failure.
     """
     if not 0 <= p < np.inf:
         raise ValueError("pressure must be nonnegative")
@@ -245,32 +280,35 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max
 
     kernel = build_log_kernel(grid)
     h = grid.h
-    x = grid.x
-    wx = w.confinement(x)
+    wx = w.confinement(grid.x)
     rho = _normalized_exp(-wx, h)
     phi = kernel.log_potential(rho)
     f_curr = _free_energy_parts(wx, phi, rho, p, h)
-    theta = 0.5
     residual, lam = np.inf, 0.0
     iterations = 0
     converged = False
 
     for iterations in range(max_iter + 1):
-        residual, lam = _residual_and_lambda(wx, phi, rho, p, h)
+        log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
+        r = wx - 2.0 * p * phi + log_rho
+        lam = float(np.sum(r * rho) * h)
+        r -= lam
+        residual = float(np.max(np.abs(r[rho > DENSITY_FLOOR])))
         if residual <= tol:
             converged = True
             break
         if iterations == max_iter:
             break
-        target = _normalized_exp(-wx + 2.0 * p * phi, h)
-        # monotone safeguard: halve theta until the free energy does not rise
-        while True:
-            candidate = (1.0 - theta) * rho + theta * target
+        e = np.sqrt(rho * h)
+        y = solve_linearized(rho, p, kernel, -e * r, NEWTON_FORCING)
+        du = 2.0 * p * kernel.apply(e * y) - r
+        # monotone safeguard: halve the step, down to 2^-27, until the free energy does not rise
+        for t in 0.5 ** np.arange(28.0):
+            candidate = _normalized_exp(log_rho + t * du, h)
             phi_cand = kernel.log_potential(candidate)
             f_cand = _free_energy_parts(wx, phi_cand, candidate, p, h)
-            if f_cand <= f_curr + 1e-14 * (1.0 + abs(f_curr)) or theta < 1e-8:
+            if f_cand <= f_curr + 1e-14 * (1.0 + abs(f_curr)):
                 break
-            theta *= 0.5
         rho, phi, f_curr = candidate, phi_cand, f_cand
 
     density = GridDensity.from_unnormalized(grid, rho)
@@ -284,10 +322,10 @@ def solve_equilibrium(p: float, w: Potential, grid: Grid, tol: float = 1e-8, max
         residual=residual, iterations=iterations, converged=converged,
     )
     if not converged:
-        logger.warning("equilibrium solve not converged: residual %.3e after %d iterations",
+        logger.warning("equilibrium solve not converged: residual %.3e after %d Newton steps",
                        residual, iterations)
         if raise_on_failure:
-            raise NonConvergedError(f"residual {residual:.3e} after {iterations} iterations")
+            raise NonConvergedError(f"residual {residual:.3e} after {iterations} Newton steps")
     return solution
 
 
@@ -308,8 +346,8 @@ def domain_auto(p: float, w: Potential) -> float:
     a table and the vertex -b of x^2/2 + a + b x on each of its segments.  A
     doubling search brackets the crossing, bisection refines it.  The search
     starts at the farthest candidate where the bound fails, or at 1, so no
-    well of W is cut off.  The bound keeps the truncated tail mass of the
-    fixed-point map below 1e-12.
+    well of W is cut off.  The bound keeps the truncated tail mass of
+    exp(-W + 2P U_rho), the shape of mu_P, below 1e-12.
     """
     if not 0 <= p < np.inf:
         raise ValueError("pressure must be nonnegative")

@@ -10,9 +10,9 @@ from the dense matrix, the untruncated Gaussian kernel sum, and closed forms
 for a quadratic V; ``dense`` builds a matrix's dense form and ``with_entry``
 copies a matrix with one entry changed.  On the equilibrium grid, the log
 potential is a direct convolution with the cell-integrated kernel; over it
-a fixed-step Picard iteration solves for mu_P, whose central difference in
-the pressure stands against the implicit derivative nu_P, and the free-energy
-functional is summed term by term.  Nothing here imports from todagibbs.
+a fixed-step Picard iteration, not the library's Newton steps, solves for
+mu_P, whose central difference in the pressure stands against the implicit
+derivative nu_P, and the free-energy functional is summed term by term.  Nothing here imports from todagibbs.
 """
 
 import math
@@ -233,23 +233,28 @@ def log_potential(grid, values):
 
 
 def picard_equilibrium(p, w, grid, tol):
-    """Cell values of mu_P by the iteration rho <- (rho + normalize(exp(-W + 2P U_rho))) / 2.
+    """Cell values of mu_P and the multiplier lambda by a fixed-step fixed-point iteration.
 
-    Stops when sup |W - 2P U_rho + log rho - lambda| <= tol on the cells where
-    rho > 0, with lambda the rho-weighted mean of the bracket.
+    The step is rho <- (1 - t) rho + t normalize(exp(-W + 2P U_rho)) with
+    t = 1 / (1 + P), small enough that the iteration contracts at every
+    pressure tested (a half step oscillates at P = 5).  Stops when
+    sup |W - 2P U_rho + log rho - lambda| <= tol on the cells where rho > 0,
+    with lambda the rho-weighted mean of the bracket.
     """
     h = grid.h
     wx = w.confinement(grid.x)
     rho = np.exp(-(wx - np.min(wx)))
     rho /= np.sum(rho) * h
+    step = 1.0 / (1.0 + p)
     for _ in range(10_000):
         log_target = -wx + 2.0 * p * log_potential(grid, rho)
         support = rho > 0.0
         bracket = np.log(rho[support]) - log_target[support]
-        if np.max(np.abs(bracket - np.sum(bracket * rho[support]) * h)) <= tol:
-            return rho
+        lam = np.sum(bracket * rho[support]) * h
+        if np.max(np.abs(bracket - lam)) <= tol:
+            return rho, lam
         target = np.exp(log_target - np.max(log_target))
-        rho = 0.5 * rho + 0.5 * target / (np.sum(target) * h)
+        rho = (1.0 - step) * rho + step * target / (np.sum(target) * h)
     raise RuntimeError(f"no convergence to {tol} in 10,000 iterations")
 
 
@@ -259,7 +264,7 @@ def central_difference_nu(p, w, grid, h_p, tol):
     Returns the raw cell values: no clipping and no renormalization, so the
     O(h_p^2) truncation error shows in full.
     """
-    lower, upper = (picard_equilibrium(q, w, grid, tol) for q in (p - h_p, p + h_p))
+    lower, upper = (picard_equilibrium(q, w, grid, tol)[0] for q in (p - h_p, p + h_p))
     return ((p + h_p) * upper - (p - h_p) * lower) / (2.0 * h_p)
 
 

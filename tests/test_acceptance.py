@@ -20,6 +20,7 @@ from todagibbs import (EmpiricalSpectralMeasure, Grid, Potential,
                        sample_toda_matrix, sample_profile_matrix,
                        solve_equilibrium, trace_power)
 from todagibbs.equilibrium import GridDensity
+from todagibbs.matrices import spectra
 
 from _oracles import (bathtub_lp, beta_two_point_trace_moment, central_difference_nu,
                       fourier_log_energy, with_entry)
@@ -44,9 +45,8 @@ def quadratic_p1():
 
 def test_criterion_1_toda_convergence(quadratic_p1):
     grid, mu, nu = quadratic_p1
-    spectra = [eigenvalues(sample_toda_matrix(SeededStream(2024, i), 2000, 1.0)).values
-               for i in range(50)]
-    aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
+    measures = spectra(sample_toda_matrix(SeededStream(2024, i), 2000, 1.0) for i in range(50))
+    aggregate = EmpiricalSpectralMeasure(np.concatenate([m.values for m in measures]))
     d = bl_bv_distance(aggregate, nu)
     ks = ks_distance(aggregate, nu)
     report(1, d <= 0.02 and ks <= 0.02,
@@ -75,9 +75,8 @@ def test_criterion_2_exact_moments():
 
 def test_criterion_3_dumitriu_edelman_bridge(quadratic_p1):
     grid, mu, _ = quadratic_p1
-    spectra = [eigenvalues(sample_beta_matrix(SeededStream(8200, i), 2000, 1.0)).values
-               for i in range(20)]
-    aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
+    measures = spectra(sample_beta_matrix(SeededStream(8200, i), 2000, 1.0) for i in range(20))
+    aggregate = EmpiricalSpectralMeasure(np.concatenate([m.values for m in measures]))
     d = bl_bv_distance(aggregate, mu.density)
     tr = np.array([2.0 * trace_power(sample_beta_matrix(SeededStream(8300, i), 2, 1.0), 2)
                    for i in range(30000)])
@@ -117,11 +116,11 @@ def test_criterion_5_euler_lagrange_residual():
 
 def test_criterion_6_general_potential_mcmc():
     chain = mcmc_toda(SeededStream(99, 0), 200, 1.0, V_QUARTIC, sweeps=5000, thin=10)
-    spectra = EmpiricalSpectralMeasure(
-        np.concatenate([eigenvalues(m).values for m in chain.samples]))
+    aggregate = EmpiricalSpectralMeasure(
+        np.concatenate([m.values for m in spectra(chain.samples)]))
     grid = Grid(domain_auto(1.1, V_QUARTIC), 2000)
     nu = dos_from_equilibrium(1.0, V_QUARTIC, grid)
-    d = bl_bv_distance(spectra, nu)
+    d = bl_bv_distance(aggregate, nu)
     ok = chain.ess >= 200 and d <= 0.05
     report(6, ok,
            f"MCMC N=200 V=x^4: ESS={chain.ess:.0f} (>=200), "
@@ -130,13 +129,9 @@ def test_criterion_6_general_potential_mcmc():
 
 def test_criterion_7_variance_profile():
     profile = VarianceProfile((1.0, 2.0))
-    spectra, t2 = [], []
-    for i in range(50):
-        m = sample_profile_matrix(SeededStream(8400, i), 2000, profile)
-        spectra.append(eigenvalues(m).values)
-        t2.append(trace_power(m, 2))
-    aggregate = EmpiricalSpectralMeasure(np.concatenate(spectra))
-    t2 = np.asarray(t2)
+    matrices = [sample_profile_matrix(SeededStream(8400, i), 2000, profile) for i in range(50)]
+    aggregate = EmpiricalSpectralMeasure(np.concatenate([m.values for m in spectra(matrices)]))
+    t2 = np.array([trace_power(m, 2) for m in matrices])
     se = t2.std(ddof=1) / math.sqrt(t2.size)
     grid = Grid(domain_auto(2.1, W0), 2000)
     mix = mixture_over_profile(profile, W0, grid, n_nodes=15)

@@ -368,15 +368,32 @@ def test_sample_at_the_largest_pressure_writes_strict_json(tmp_path, source):
         _json_text({"moment": math.inf})
 
 
-def test_dos_linear_solve_cap_exits_2_and_marks_the_manifest_failed(tmp_path, capsys,
-                                                                  monkeypatch):
-    # one conjugate-gradient iteration does not reach the relative tolerance
-    monkeypatch.setattr("todagibbs.dos.CG_MAX_ITER", 1)
-    rc, out = run(tmp_path, "dos", {"p": 1.0, "grid": {"m": 200}})
+def assert_linear_solve_cap_exits_2(tmp_path, capsys, monkeypatch, command):
+    # one conjugate-gradient iteration does not reach the relative tolerance; the
+    # cap raises inside the equilibrium solve, where max_iter would only flag it
+    monkeypatch.setattr("todagibbs.equilibrium.CG_MAX_ITER", 1)
+    rc, out = run(tmp_path, command, {"p": 1.0, "grid": {"m": 200}})
     assert rc == 2 and "conjugate gradients" in capsys.readouterr().err
     manifest = read_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith("NonConvergedError: conjugate gradients")
+
+
+def test_dos_linear_solve_cap_exits_2_and_marks_the_manifest_failed(tmp_path, capsys,
+                                                                  monkeypatch):
+    assert_linear_solve_cap_exits_2(tmp_path, capsys, monkeypatch, "dos")
+
+
+def test_solve_linear_solve_cap_exits_2_and_marks_the_manifest_failed(tmp_path, capsys,
+                                                                    monkeypatch):
+    assert_linear_solve_cap_exits_2(tmp_path, capsys, monkeypatch, "solve")
+
+
+def test_dos_at_pressure_100_exits_0(tmp_path):
+    rc, out = run(tmp_path, "dos", {"p": 100, "grid": {"m": 2000}})
+    assert rc == 0
+    assert json.load(open(os.path.join(out, "report.json")))["moments"]["2"] == \
+        pytest.approx(201.0, abs=1e-3)
 
 
 def test_failure_after_the_run_opens_marks_the_manifest_failed(tmp_path, capsys):
@@ -531,83 +548,141 @@ def test_malformed_json(tmp_path):
 QUARTIC = {"type": "polynomial", "coeffs": [0, 0, 0, 0, 1.0]}
 
 
-@pytest.mark.parametrize("command,cfg,flags", [
-    ("sample", {"source": "toda", "n": 10, "p": None, "replicas": 2}, {}),
-    ("sample", {"source": "toda", "n": [3], "p": 1.0, "replicas": 2}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": "abc", "replicas": 2}, {}),
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5,
+# Each case carries its id, so inserting one renames no other.  The first 49
+# keep the ids they were first collected under; a new case is named by its
+# command and offending key.
+INVALID_CONFIGS = [
+    ("sample-cfg0-flags0",
+     "sample", {"source": "toda", "n": 10, "p": None, "replicas": 2}, {}),
+    ("sample-cfg1-flags1",
+     "sample", {"source": "toda", "n": [3], "p": 1.0, "replicas": 2}, {}),
+    ("sample-cfg2-flags2",
+     "sample", {"source": "toda", "n": 10, "p": "abc", "replicas": 2}, {}),
+    ("sample-cfg3-flags3",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5,
                 "proposal_scales": [-1, 1], "potential": QUARTIC}, {}),
-    ("checks", {"checks": ["beta_mixture"], "n_nodes": 3}, {}),
-    ("solve", {"p": 1.0, "theta0": 2}, {}),
-    ("solve", {"p": 1.0, "tol": -1}, {}),
+    ("checks-cfg4-flags4",
+     "checks", {"checks": ["beta_mixture"], "n_nodes": 3}, {}),
+    ("solve-cfg5-flags5",
+     "solve", {"p": 1.0, "theta0": 2}, {}),
+    ("solve-cfg6-flags6",
+     "solve", {"p": 1.0, "tol": -1}, {}),
+    ("solve-max_iter",
+     "solve", {"p": 1.0, "max_iter": -1}, {}),
     # h_p is a key that dos does not read (here and below)
-    ("dos", {"p": 1.0, "h_p": 0.9}, {}),
-    ("solve", {"p": 1.0, "seed": -1}, {}),
-    ("sample", {"source": "toda", "n": math.inf, "p": 1.0, "replicas": 2}, {}),
-    ("solve", {"p": 1.0, "workers": 0}, {}),
-    ("solve", {"p": 1.0, "potential": 3}, {}),
-    ("solve", {"p": 1.0}, {"seed": -1}),
-    ("solve", {"p": 1.0}, {"seed": "x"}),
-    ("solve", {"p": 1.0}, {"workers": 0}),
-    ("sample", {"source": "toda", "n": 3.7, "p": 1.0, "replicas": 2}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": True}, {}),
+    ("dos-cfg7-flags7",
+     "dos", {"p": 1.0, "h_p": 0.9}, {}),
+    ("solve-cfg8-flags8",
+     "solve", {"p": 1.0, "seed": -1}, {}),
+    ("sample-cfg9-flags9",
+     "sample", {"source": "toda", "n": math.inf, "p": 1.0, "replicas": 2}, {}),
+    ("solve-cfg10-flags10",
+     "solve", {"p": 1.0, "workers": 0}, {}),
+    ("solve-cfg11-flags11",
+     "solve", {"p": 1.0, "potential": 3}, {}),
+    ("solve-cfg12-flags12",
+     "solve", {"p": 1.0}, {"seed": -1}),
+    ("solve-cfg13-flags13",
+     "solve", {"p": 1.0}, {"seed": "x"}),
+    ("solve-cfg14-flags14",
+     "solve", {"p": 1.0}, {"workers": 0}),
+    ("sample-cfg15-flags15",
+     "sample", {"source": "toda", "n": 3.7, "p": 1.0, "replicas": 2}, {}),
+    ("sample-cfg16-flags16",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": True}, {}),
     # keys that the chosen sample source does not read
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "potential": QUARTIC}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "sweeps": 10}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "thin": 3}, {}),
-    ("sample", {"source": "beta", "n": 10, "p": 1.0, "replicas": 2,
+    ("sample-cfg17-flags17",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "potential": QUARTIC}, {}),
+    ("sample-cfg18-flags18",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "sweeps": 10}, {}),
+    ("sample-cfg19-flags19",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "thin": 3}, {}),
+    ("sample-cfg20-flags20",
+     "sample", {"source": "beta", "n": 10, "p": 1.0, "replicas": 2,
                 "proposal_scales": [0.5, 0.5]}, {}),
-    ("sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2,
+    ("sample-cfg21-flags21",
+     "sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2,
                 "dump_samples": True}, {}),
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+    ("sample-cfg22-flags22",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "replicas": 7}, {}),
     # dump_samples is a JSON boolean
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+    ("sample-cfg23-flags23",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "dump_samples": "no"}, {}),
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+    ("sample-cfg24-flags24",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "dump_samples": 1}, {}),
     # keys that the command, in its mode, does not read
-    ("dos", {"profile": [0.5, 1.5], "p": 7.0, "h_p": 0.3, "grid": {"m": 100}, "n_nodes": 5}, {}),
-    ("dos", {"p": 1.0, "grid": {"m": 100}, "n_nodes": 7}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "profile": [1.0, 2.0]}, {}),
-    ("sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2, "p": 1.0},
+    ("dos-cfg25-flags25",
+     "dos", {"profile": [0.5, 1.5], "p": 7.0, "h_p": 0.3, "grid": {"m": 100}, "n_nodes": 5}, {}),
+    ("dos-cfg26-flags26",
+     "dos", {"p": 1.0, "grid": {"m": 100}, "n_nodes": 7}, {}),
+    ("sample-cfg27-flags27",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "profile": [1.0, 2.0]}, {}),
+    ("sample-cfg28-flags28",
+     "sample", {"source": "profile", "n": 10, "profile": [1.0, 2.0], "replicas": 2, "p": 1.0},
      {}),
-    ("sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "replicass": 5}, {}),
-    ("solve", {"p": 1.0, "grid": {"m": 100, "mm": 7}}, {}),
-    ("checks", {"checks": ["fc_convexity"], "grid": {"m": 100}, "n": 30, "sweeps": 12,
+    ("sample-cfg29-flags29",
+     "sample", {"source": "toda", "n": 10, "p": 1.0, "replicas": 2, "replicass": 5}, {}),
+    ("solve-cfg30-flags30",
+     "solve", {"p": 1.0, "grid": {"m": 100, "mm": 7}}, {}),
+    ("checks-cfg31-flags31",
+     "checks", {"checks": ["fc_convexity"], "grid": {"m": 100}, "n": 30, "sweeps": 12,
                 "mixture_tol": 0.5, "n_nodes": 9}, {}),
-    ("checks", {"checks": ["beta_mixture"], "grid": {"m": 100}, "mixture_tol": 0.5}, {}),
+    ("checks-cfg32-flags32",
+     "checks", {"checks": ["beta_mixture"], "grid": {"m": 100}, "mixture_tol": 0.5}, {}),
     # a tabulated V runs at any n, but not for zero sweeps
-    ("sample", {"source": "mcmc", "n": 500, "p": 1.0, "sweeps": 0,
+    ("sample-cfg33-flags33",
+     "sample", {"source": "mcmc", "n": 500, "p": 1.0, "sweeps": 0,
                 "potential": TABULATED_QUARTIC}, {}),
     # a config that is not a JSON object
-    ("solve", [{"p": 1.0}], {}),
+    ("solve-cfg34-flags34",
+     "solve", [{"p": 1.0}], {}),
     # the free_energy check takes a tabulated V, but no periodic matrix has n = 2
-    ("checks", {"checks": ["free_energy"], "n": 2, "sweeps": 10,
+    ("checks-cfg35-flags35",
+     "checks", {"checks": ["free_energy"], "n": 2, "sweeps": 10,
                 "potential": TABULATED_QUARTIC}, {}),
     # number keys take JSON numbers, not strings or booleans
-    ("solve", {"p": "1.5", "grid": {"m": 100}}, {}),
-    ("solve", {"p": 1.0, "grid": {"m": 100, "half_width": "8"}}, {}),
-    ("solve", {"p": 1.0, "grid": {"m": 100}, "tol": True}, {}),
-    ("sample", {"source": "toda", "n": 10, "p": True, "replicas": 2}, {}),
-    ("dos", {"p": 1.0, "h_p": "0.01", "grid": {"m": 100}}, {}),
+    ("solve-cfg36-flags36",
+     "solve", {"p": "1.5", "grid": {"m": 100}}, {}),
+    ("solve-cfg37-flags37",
+     "solve", {"p": 1.0, "grid": {"m": 100, "half_width": "8"}}, {}),
+    ("solve-cfg38-flags38",
+     "solve", {"p": 1.0, "grid": {"m": 100}, "tol": True}, {}),
+    ("sample-cfg39-flags39",
+     "sample", {"source": "toda", "n": 10, "p": True, "replicas": 2}, {}),
+    ("dos-cfg40-flags40",
+     "dos", {"p": 1.0, "h_p": "0.01", "grid": {"m": 100}}, {}),
     # list keys take JSON lists, of numbers where they hold numbers
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+    ("sample-cfg41-flags41",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "proposal_scales": "12"}, {}),
-    ("sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
+    ("sample-cfg42-flags42",
+     "sample", {"source": "mcmc", "n": 10, "p": 1.0, "sweeps": 5, "potential": QUARTIC,
                 "proposal_scales": [True, 0.5]}, {}),
-    ("sample", {"source": "profile", "n": 10, "profile": "12", "replicas": 2}, {}),
-    ("checks", {"checks": {"nu_density": 1}, "grid": {"m": 100}}, {}),
+    ("sample-cfg43-flags43",
+     "sample", {"source": "profile", "n": 10, "profile": "12", "replicas": 2}, {}),
+    ("checks-cfg44-flags44",
+     "checks", {"checks": {"nu_density": 1}, "grid": {"m": 100}}, {}),
     # out is a string, even when --out overrides it
-    ("solve", {"p": 1.0, "grid": {"m": 100}, "out": None}, {}),
+    ("solve-cfg45-flags45",
+     "solve", {"p": 1.0, "grid": {"m": 100}, "out": None}, {}),
     # potential specs hold lists of numbers and a numeric slack
-    ("solve", {"p": 1.0, "grid": {"m": 100},
+    ("solve-cfg46-flags46",
+     "solve", {"p": 1.0, "grid": {"m": 100},
                "potential": {"type": "polynomial", "coeffs": "4"}}, {}),
-    ("solve", {"p": 1.0, "grid": {"m": 100},
+    ("solve-cfg47-flags47",
+     "solve", {"p": 1.0, "grid": {"m": 100},
                "potential": {**TABULATED_QUARTIC, "slack": "0.5"}}, {}),
-    ("solve", {"p": 1.0, "grid": {"m": 100},
+    ("solve-cfg48-flags48",
+     "solve", {"p": 1.0, "grid": {"m": 100},
                "potential": {**TABULATED_QUARTIC, "envelope": [0, 0, 0, 0, "0.05"]}}, {}),
-])
+]
+
+
+@pytest.mark.parametrize("command,cfg,flags",
+                         [pytest.param(*case, id=name) for name, *case in INVALID_CONFIGS])
 def test_invalid_config_exits_1_with_message(tmp_path, capsys, command, cfg, flags):
     rc, out = run(tmp_path, command, cfg, **flags)
     err = capsys.readouterr().err

@@ -38,6 +38,16 @@ def test_dos_even_symmetry():
     assert np.max(np.abs(nu - nu[::-1])) <= 1e-9
 
 
+@pytest.mark.parametrize("p, m, bound", [(100.0, 2000, 1.5e-4), (1000.0, 4000, 5e-4)])
+def test_second_moments_at_large_pressure(p, m, bound):
+    # V = 0: mu_P has second moment 1 + P and nu_P has 1 + 2P; the misses
+    # measured -7.4e-5 and -7.6e-5 at P = 100, -2.4e-4 at P = 1000
+    grid = Grid(domain_auto(p + 0.5, W0), m)
+    solution = solve_equilibrium(p, W0, grid, raise_on_failure=True)
+    assert abs(solution.density.moment(2) - (1.0 + p)) <= bound
+    assert abs(dos._dos_at(solution).moment(2) - (1.0 + 2.0 * p)) <= bound
+
+
 def test_dos_step_validation():
     with pytest.raises(ValueError):
         dos_from_equilibrium(0.0, W0, std_grid(1.1, m=400))

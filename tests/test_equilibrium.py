@@ -8,7 +8,7 @@ from scipy.special import gammaln
 from todagibbs import (DomainTooSmallError, Grid, GridDensity, Potential,
                        build_log_kernel, domain_auto, solve_equilibrium)
 
-from _oracles import free_energy
+from _oracles import free_energy, picard_equilibrium
 
 W0 = Potential.zero()
 
@@ -197,6 +197,19 @@ def test_non_convergence_flagged():
     sol = solve_equilibrium(1.0, W0, grid, max_iter=2)
     assert not sol.converged
     assert sol.residual > 1e-8
+
+
+@pytest.mark.parametrize("p", [1.0, 5.0])
+@pytest.mark.parametrize("v", [W0, Potential.polynomial([0, 0, 0, 0, 1.0])],
+                         ids=["zero", "quartic"])
+def test_newton_solve_matches_the_fixed_step_oracle(v, p):
+    # measured: |drho| <= 1.4e-11 and |dlambda| <= 3.3e-12 over these four cases
+    grid = Grid(domain_auto(p, v), 1000)
+    sol = solve_equilibrium(p, v, grid, tol=1e-10)
+    rho, lam = picard_equilibrium(p, v, grid, 1e-10)
+    assert sol.converged
+    assert np.max(np.abs(sol.density.values - rho)) <= 1e-10
+    assert abs(sol.lam - lam) <= 1e-10
 
 
 def test_grid_refinement_second_order():
